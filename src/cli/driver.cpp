@@ -7,9 +7,11 @@
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "cli/commands.hpp"
 #include "cli/options.hpp"
 #include "cli/parse.hpp"
 #include "harness/registry.hpp"
@@ -31,101 +33,6 @@
 namespace nvms {
 namespace {
 
-constexpr const char* kUsage = R"(nvmsim — NVM-based memory system simulator
-
-usage: nvmsim <command> [options]
-
-commands:
-  list                      registered applications
-  devices                   calibrated device parameters
-  run <app>                 run one application
-      --mode dram-only|cached-nvm|uncached-nvm   (default uncached-nvm)
-      --threads N           simulated concurrency       (default 36)
-      --scale S             input-problem scale         (default 1.0)
-      --iters K             iteration override          (default app)
-      --trace FILE          write the bandwidth trace as CSV
-      --remote-nvm          access NVM on the remote socket over UPI
-      --numa local|interleave|remote   two-socket placement policy
-      --json                emit the result as JSON
-      --trace-out FILE      write a Chrome trace (chrome://tracing, Perfetto)
-      --metrics-out FILE    write per-epoch metric streams as CSV
-      --resolve-cache[=off|run|shared]   memoize phase resolutions
-                            (results are byte-identical; default off)
-      --intra-jobs auto|N   worker lanes inside this run's epoch kernel
-                            (default 1; auto = whole machine; output is
-                            byte-identical for any width)
-  sweep <app>               run across modes x concurrency
-      --modes a,b,c         (default: all three)
-      --threads a,b,c       (default: 12,24,36,48)
-      --scale S
-      --jobs N              parallel experiment workers
-                            (default: hardware concurrency; results are
-                            byte-identical for any N)
-      --csv                 emit CSV instead of a table
-      --stats FILE          write per-task executor timings as CSV
-      --trace-out FILE      merged Chrome trace over the whole grid
-      --metrics-out FILE    merged per-epoch metrics CSV over the grid
-      --jsonl FILE          merged JSONL telemetry over the grid
-      --resolve-cache[=off|run|shared]   memoize phase resolutions
-                            (shared: one cache for the grid; rows and
-                            exports are byte-identical either way)
-      --intra-jobs auto|N   worker lanes inside each cell's epoch kernel
-                            (default 1; auto splits the lane budget over
-                            the --jobs workers; bytes identical anyway)
-  inspect <app>             run once with telemetry and summarize it
-      --mode M --threads N --scale S --iters K
-      --format human|json   byte-stable sorted-key JSON for scripts
-      --trace-out FILE --metrics-out FILE --jsonl FILE
-  explain <app|trace>       bottleneck attribution: why is this slow
-      --mode M --threads N --scale S
-      --jobs N              (app form; output byte-identical for any N)
-      --intra-jobs auto|N   (output byte-identical for any width)
-      --resolve-cache[=off|run|shared]   (output byte-identical either way)
-      --format human|json|csv            (default human)
-      --metrics-out FILE    analyze.* gauges as Prometheus exposition text
-  diff <a> <b>              explain what changed between two runs/traces
-      --mode M --threads N --scale S --jobs N --intra-jobs auto|N
-      --mode-a M --mode-b M per-side mode override (compare modes)
-      --resolve-cache[=off|run|shared]
-      --format human|json                (default human)
-      --metrics-out FILE    diff.* gauges as Prometheus exposition text
-  profile <app>             data-centric profile + write-aware plan
-      --threads N --scale S
-      --budget PCT          DRAM budget percent        (default 35)
-  record <app> --out FILE   capture the phase trace of a run
-      --mode M --threads N --scale S
-  replay FILE               re-execute a trace on another configuration
-      --mode M              (default uncached-nvm)
-      --nvm-write-bw GBS    override the NVM write peak (what-if)
-      --nvm-read-bw GBS     override the NVM read peak (what-if)
-  optimize <app|FILE>       trace-driven placement plan (delta-replay CELF)
-      --budget B            DRAM budget: percent ("35%") or bytes with an
-                            optional KiB/MiB/GiB suffix   (default 35%)
-      --mode M              (default uncached-nvm)
-      --threads N --scale S --iters K   recording options (app form)
-      --jobs N              parallel candidate evaluation workers
-                            (plan and tables are identical for any N)
-      --intra-jobs auto|N   lanes inside each replayed system's kernel
-                            (plan identical for any width)
-      --min-gain G          stop below this relative gain (default 1e-3)
-  serve                     nvmsimd: long-running service answering JSONL
-                            requests over a socket (docs/SERVICE.md)
-      --socket PATH | --port N       listen endpoint
-      --workers N --queue N --client-budget N
-  client                    send JSONL requests from stdin to a daemon
-      --socket PATH | --host H --port N
-)";
-
-std::vector<std::string> split_csv(const std::string& s) {
-  std::vector<std::string> out;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
 // Write `content` to `path`; on failure reports "<cmd>: cannot write ..."
 // and returns false.
 bool write_file(const std::string& path, const std::string& content,
@@ -139,35 +46,17 @@ bool write_file(const std::string& path, const std::string& content,
   return true;
 }
 
-// Parse --resolve-cache[=off|run|shared]; a bare flag means "shared".
-// Reports and returns nullopt on unknown values.
-std::optional<ResolveCacheMode> cache_mode_from(const Options& opt,
-                                                std::ostream& err,
-                                                const char* cmd) {
-  const std::string v = opt.get("resolve-cache", "off");
-  const auto mode = parse_resolve_cache_mode(v == "true" ? "shared" : v);
-  if (!mode) {
-    err << cmd << ": unknown --resolve-cache mode '" << v
-        << "' (want off|run|shared)\n";
-  }
-  return mode;
+std::optional<Mode> mode_of(const CommandArgs& a,
+                            std::string_view name = "mode") {
+  const auto v = a.choice(name);
+  if (!v) return std::nullopt;
+  return parse_mode(*v);
 }
 
-// Parse --intra-jobs [auto|N]: worker lanes inside one simulator run's
-// epoch kernel (SystemConfig::intra_jobs).  "auto" (or a bare flag) maps
-// to 0 — the executor/daemon splits the process-wide lane budget over
-// the active jobs.  Output bytes never depend on the width.
-std::optional<int> intra_jobs_from(const Options& opt, std::ostream& err,
-                                   const char* cmd) {
-  const std::string v = opt.get("intra-jobs", "1");
-  if (v == "auto" || v == "true") return 0;
-  const auto n = parse_long(v);
-  if (!n || *n < 0) {
-    err << cmd << ": bad --intra-jobs '" << v
-        << "' (want auto or an integer >= 0)\n";
-    return std::nullopt;
-  }
-  return static_cast<int>(*n);
+std::optional<ResolveCacheMode> cache_mode_of(const CommandArgs& a) {
+  const auto v = a.choice("resolve-cache");
+  if (!v) return std::nullopt;
+  return parse_resolve_cache_mode(*v);
 }
 
 void report_cache_line(const char* what, const ResolveCacheStats& s,
@@ -193,24 +82,44 @@ void report_cache_stats(const ResolveCacheStats& phases,
   }
 }
 
-AppConfig config_from(const Options& opt) {
+// The resolve cache of one run.  A single one-shot run has nothing to
+// share across: both non-off modes are one private cache in `local`,
+// reused across the run's phases.  Under a daemon, shared mode instead
+// borrows the process-lifetime cache so the next request over the same
+// app starts warm.
+ResolveCache* run_cache(ResolveCacheMode mode, const CommandContext* ctx,
+                        std::optional<ResolveCache>& local) {
+  if (mode == ResolveCacheMode::kShared && ctx != nullptr &&
+      ctx->shared_cache != nullptr) {
+    return ctx->shared_cache;
+  }
+  if (mode == ResolveCacheMode::kOff) return nullptr;
+  local.emplace(/*shards=*/1);
+  // Private cache: stream-memo keys chain a monotonic history digest, so
+  // this run can never hit its own stream inserts — skip them (the phase
+  // memo keeps inserting; its keys recur across epochs).  The daemon's
+  // shared cache above is exempt: an identical later request replays the
+  // same digest trajectory and hits.
+  local->streams().set_insert_bypass(true);
+  return &*local;
+}
+
+AppConfig config_from(const CommandArgs& a) {
   AppConfig cfg;
-  cfg.threads = static_cast<int>(opt.get_int("threads", 36));
-  cfg.size_scale = opt.get_double("scale", 1.0);
-  cfg.iterations = static_cast<int>(opt.get_int("iters", 0));
+  cfg.threads = static_cast<int>(a.integer("threads"));
+  cfg.size_scale = a.number("scale");
+  cfg.iterations = static_cast<int>(a.integer("iters"));
   cfg.validate();
   return cfg;
 }
 
 int cmd_list(std::ostream& out) {
   TextTable t({"name", "dwarf", "input problem"});
-  for (const auto& name : app_names()) {
-    const App& app = lookup_app(name);
-    t.add_row({name, app.dwarf(), app.input_problem()});
-  }
-  for (const auto& name : extra_app_names()) {
-    const App& app = lookup_app(name);
-    t.add_row({name, app.dwarf(), app.input_problem()});
+  for (const auto* names : {&app_names(), &extra_app_names()}) {
+    for (const auto& name : *names) {
+      const App& app = lookup_app(name);
+      t.add_row({name, app.dwarf(), app.input_problem()});
+    }
   }
   out << t.render();
   return 0;
@@ -244,66 +153,33 @@ int cmd_devices(std::ostream& out) {
   return 0;
 }
 
-int cmd_run(const Options& opt, std::ostream& out, std::ostream& err,
+int cmd_run(const CommandArgs& a, std::ostream& out, std::ostream& err,
             const CommandContext* ctx) {
-  if (opt.positional().empty()) {
-    err << "run: missing application name\n";
-    return 2;
-  }
-  const std::string app = opt.positional()[0];
-  const auto mode = parse_mode(opt.get("mode", "uncached-nvm"));
-  if (!mode) {
-    err << "run: unknown mode\n";
-    return 2;
-  }
+  const std::string app = a.positional(0);
+  const auto mode = mode_of(a);
+  if (!mode) return 2;
   SystemConfig sys_cfg = SystemConfig::testbed(*mode);
-  if (opt.has("remote-nvm")) {
-    (void)opt.get("remote-nvm", "");
-    sys_cfg.remote_nvm = true;
-  }
-  const std::string numa = opt.get("numa", "");
-  if (!numa.empty()) {
+  sys_cfg.remote_nvm = a.flag("remote-nvm");
+  const auto numa = a.choice("numa");
+  if (!numa) return 2;
+  if (!numa->empty()) {
     sys_cfg.sockets = 2;
-    if (numa == "local") {
-      sys_cfg.numa_policy = NumaPolicy::kLocalSocket;
-    } else if (numa == "interleave") {
-      sys_cfg.numa_policy = NumaPolicy::kInterleave;
-    } else if (numa == "remote") {
-      sys_cfg.numa_policy = NumaPolicy::kRemoteSocket;
-    } else {
-      err << "run: unknown --numa policy '" << numa << "'\n";
-      return 2;
-    }
+    sys_cfg.numa_policy = *numa == "local"        ? NumaPolicy::kLocalSocket
+                          : *numa == "interleave" ? NumaPolicy::kInterleave
+                                                  : NumaPolicy::kRemoteSocket;
   }
-  const AppConfig cfg = config_from(opt);
-  const auto intra = intra_jobs_from(opt, err, "run");
+  const AppConfig cfg = config_from(a);
+  const auto intra = a.lanes("intra-jobs");
   if (!intra) return 2;
   sys_cfg.intra_jobs = *intra == 0 ? resolve_auto_intra_jobs(1) : *intra;
-  const auto cache_mode = cache_mode_from(opt, err, "run");
+  const auto cache_mode = cache_mode_of(a);
   if (!cache_mode) return 2;
-  const std::string trace_out = opt.get("trace-out", "");
-  const std::string metrics_out = opt.get("metrics-out", "");
+  const std::string trace_out = a.text("trace-out");
+  const std::string metrics_out = a.text("metrics-out");
   Telemetry telemetry;
   const bool want_telemetry = !trace_out.empty() || !metrics_out.empty();
-  // A single one-shot run has nothing to share across: both non-off modes
-  // are one private cache reused across the run's phases.  Under a
-  // daemon, shared mode instead borrows the process-lifetime cache so the
-  // next request over the same app starts warm.
   std::optional<ResolveCache> cache;
-  ResolveCache* use_cache = nullptr;
-  if (*cache_mode == ResolveCacheMode::kShared && ctx != nullptr &&
-      ctx->shared_cache != nullptr) {
-    use_cache = ctx->shared_cache;
-  } else if (*cache_mode != ResolveCacheMode::kOff) {
-    cache.emplace(/*shards=*/1);
-    // One-shot private cache: stream-memo keys chain a monotonic history
-    // digest, so this run can never hit its own stream inserts — skip
-    // them (the phase memo keeps inserting; its keys recur across
-    // epochs).  The daemon's shared cache above is exempt: an identical
-    // later request replays the same digest trajectory and hits.
-    cache->streams().set_insert_bypass(true);
-    use_cache = &*cache;
-  }
+  ResolveCache* use_cache = run_cache(*cache_mode, ctx, cache);
   const AppResult r = run_app_on(
       app, sys_cfg, cfg, want_telemetry ? &telemetry : nullptr, use_cache);
   if (use_cache != nullptr) {
@@ -319,8 +195,7 @@ int cmd_run(const Options& opt, std::ostream& out, std::ostream& err,
     return 1;
   }
 
-  if (opt.has("json")) {
-    (void)opt.get("json", "");
+  if (a.flag("json")) {
     Json j;
     j.set("app", r.app)
         .set("dwarf", lookup_app(app).dwarf())
@@ -363,63 +238,41 @@ int cmd_run(const Options& opt, std::ostream& out, std::ostream& err,
   t.add_row({"checksum", TextTable::num(r.checksum, 6)});
   out << t.render();
 
-  const std::string trace_file = opt.get("trace", "");
+  const std::string trace_file = a.text("trace");
   if (!trace_file.empty()) {
-    std::ofstream f(trace_file);
-    if (!f) {
-      err << "run: cannot write " << trace_file << "\n";
+    if (!write_file(trace_file, render_trace_csv(r.traces, 256), err, "run")) {
       return 1;
     }
-    f << render_trace_csv(r.traces, 256);
     out << "trace written to " << trace_file << " (256 samples)\n";
   }
   return 0;
 }
 
-int cmd_sweep(const Options& opt, std::ostream& out, std::ostream& err,
+int cmd_sweep(const CommandArgs& a, std::ostream& out, std::ostream& err,
               const CommandContext* ctx) {
-  if (opt.positional().empty()) {
-    err << "sweep: missing application name\n";
-    return 2;
-  }
-  const std::string app = opt.positional()[0];
-  std::vector<Mode> modes;
-  for (const auto& m :
-       split_csv(opt.get("modes", "dram-only,cached-nvm,uncached-nvm"))) {
-    const auto parsed = parse_mode(m);
-    if (!parsed) {
-      err << "sweep: unknown mode '" << m << "'\n";
-      return 2;
-    }
-    modes.push_back(*parsed);
-  }
+  const auto modes = a.choice_list("modes");
+  if (!modes) return 2;
   SweepSpec spec;
-  spec.app = app;
-  spec.modes = modes;
-  // Checked CSV parsing: "12,abc" used to reach an unguarded std::stoi
-  // and kill the process with an uncaught std::invalid_argument.
-  std::string why;
-  const auto threads =
-      parse_int_csv(opt.get("threads", "12,24,36,48"), /*min=*/1, &why);
-  if (!threads) {
-    err << "sweep: bad --threads: " << why << "\n";
-    return 2;
-  }
+  spec.app = a.positional(0);
+  spec.modes.clear();  // SweepSpec starts with all three
+  for (const auto& m : *modes) spec.modes.push_back(*parse_mode(m));
+  const auto threads = a.int_list("threads");
+  if (!threads) return 2;
   spec.threads = *threads;
-  spec.scales = {opt.get_double("scale", 1.0)};
-  spec.jobs = static_cast<int>(opt.get_int_at_least("jobs", 0, 0));
-  const auto intra = intra_jobs_from(opt, err, "sweep");
+  spec.scales = {a.number("scale")};
+  spec.jobs = static_cast<int>(a.integer("jobs"));
+  const auto intra = a.lanes("intra-jobs");
   if (!intra) return 2;
   spec.intra_jobs = *intra;
-  const auto cache_mode = cache_mode_from(opt, err, "sweep");
+  const auto cache_mode = cache_mode_of(a);
   if (!cache_mode) return 2;
   spec.resolve_cache = *cache_mode;
   if (*cache_mode == ResolveCacheMode::kShared && ctx != nullptr) {
     spec.external_cache = ctx->shared_cache;
   }
-  const std::string trace_out = opt.get("trace-out", "");
-  const std::string metrics_out = opt.get("metrics-out", "");
-  const std::string jsonl_out = opt.get("jsonl", "");
+  const std::string trace_out = a.text("trace-out");
+  const std::string metrics_out = a.text("metrics-out");
+  const std::string jsonl_out = a.text("jsonl");
   spec.telemetry =
       !trace_out.empty() || !metrics_out.empty() || !jsonl_out.empty();
   const auto result = run_sweep(spec);
@@ -450,51 +303,37 @@ int cmd_sweep(const Options& opt, std::ostream& out, std::ostream& err,
     }
   }
 
-  const std::string stats_file = opt.get("stats", "");
-  if (!stats_file.empty()) {
-    std::ofstream f(stats_file);
-    if (!f) {
-      err << "sweep: cannot write " << stats_file << "\n";
-      return 1;
-    }
-    f << sweep_stats_csv(result);
+  const std::string stats_file = a.text("stats");
+  if (!stats_file.empty() &&
+      !write_file(stats_file, sweep_stats_csv(result), err, "sweep")) {
+    return 1;
   }
 
-  if (opt.has("csv")) {
-    (void)opt.get("csv", "");
+  if (a.flag("csv")) {
     out << sweep_csv(result);
-    // Keep stdout pure CSV; the execution summary goes to stderr.
-    err << result.stats.summary() << "\n";
-    return 0;
+  } else {
+    TextTable t({"mode", "threads", "runtime", "FoM"});
+    for (const auto& r : result.rows) {
+      t.add_row({to_string(r.mode), std::to_string(r.threads),
+                 format_time(r.result.runtime),
+                 TextTable::num(r.result.fom, 2) + " " + r.result.fom_unit});
+    }
+    out << t.render();
   }
-  TextTable t({"mode", "threads", "runtime", "FoM"});
-  for (const auto& r : result.rows) {
-    t.add_row({to_string(r.mode), std::to_string(r.threads),
-               format_time(r.result.runtime),
-               TextTable::num(r.result.fom, 2) + " " + r.result.fom_unit});
-  }
-  out << t.render();
-  out << "\n" << result.stats.summary() << "\n";
+  // The execution summary (wall clock, jobs=) varies run to run; it goes
+  // to stderr so stdout is byte-identical for any --jobs, in both formats.
+  err << result.stats.summary() << "\n";
   return 0;
 }
 
-int cmd_inspect(const Options& opt, std::ostream& out, std::ostream& err) {
-  if (opt.positional().empty()) {
-    err << "inspect: missing application name\n";
-    return 2;
-  }
-  const std::string app = opt.positional()[0];
-  const auto mode = parse_mode(opt.get("mode", "uncached-nvm"));
-  if (!mode) {
-    err << "inspect: unknown mode\n";
-    return 2;
-  }
-  const std::string format = opt.get("format", "human");
-  if (format != "human" && format != "json") {
-    err << "inspect: unknown --format '" << format << "' (want human|json)\n";
-    return 2;
-  }
-  const AppConfig cfg = config_from(opt);
+int cmd_inspect(const CommandArgs& args, std::ostream& out, std::ostream& err) {
+  const std::string app = args.positional(0);
+  const auto mode = mode_of(args);
+  if (!mode) return 2;
+  const auto fmt = args.choice("format");
+  if (!fmt) return 2;
+  const std::string format = *fmt;
+  const AppConfig cfg = config_from(args);
   const SystemConfig sys_cfg = SystemConfig::testbed(*mode);
   Telemetry telemetry;
   const AppResult r = run_app_on(app, sys_cfg, cfg, &telemetry);
@@ -595,7 +434,7 @@ int cmd_inspect(const Options& opt, std::ostream& out, std::ostream& err) {
   // File-export confirmations go to stderr in JSON mode so stdout stays a
   // single parseable document.
   std::ostream& note = format == "json" ? err : out;
-  const std::string trace_out = opt.get("trace-out", "");
+  const std::string trace_out = args.text("trace-out");
   if (!trace_out.empty()) {
     if (!write_file(trace_out, chrome_trace_json(telemetry, app), err,
                     "inspect")) {
@@ -603,7 +442,7 @@ int cmd_inspect(const Options& opt, std::ostream& out, std::ostream& err) {
     }
     note << "\ntrace written to " << trace_out << "\n";
   }
-  const std::string metrics_out = opt.get("metrics-out", "");
+  const std::string metrics_out = args.text("metrics-out");
   if (!metrics_out.empty()) {
     if (!write_file(metrics_out, metrics_csv(telemetry, app), err,
                     "inspect")) {
@@ -611,7 +450,7 @@ int cmd_inspect(const Options& opt, std::ostream& out, std::ostream& err) {
     }
     note << "metrics written to " << metrics_out << "\n";
   }
-  const std::string jsonl_out = opt.get("jsonl", "");
+  const std::string jsonl_out = args.text("jsonl");
   if (!jsonl_out.empty()) {
     if (!write_file(jsonl_out, telemetry_jsonl(telemetry, app), err,
                     "inspect")) {
@@ -622,14 +461,10 @@ int cmd_inspect(const Options& opt, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-int cmd_profile(const Options& opt, std::ostream& out, std::ostream& err) {
-  if (opt.positional().empty()) {
-    err << "profile: missing application name\n";
-    return 2;
-  }
-  const std::string app = opt.positional()[0];
-  const AppConfig cfg = config_from(opt);
-  const long budget_pct = opt.get_int("budget", 35);
+int cmd_profile(const CommandArgs& a, std::ostream& out, std::ostream& err) {
+  const std::string app = a.positional(0);
+  const AppConfig cfg = config_from(a);
+  const long budget_pct = a.integer("budget");
   if (budget_pct <= 0 || budget_pct > 100) {
     err << "profile: --budget must be in (0,100]\n";
     return 2;
@@ -659,33 +494,21 @@ int cmd_profile(const Options& opt, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-int cmd_record(const Options& opt, std::ostream& out, std::ostream& err) {
-  if (opt.positional().empty()) {
-    err << "record: missing application name\n";
-    return 2;
-  }
-  const std::string file = opt.get("out", "");
+int cmd_record(const CommandArgs& a, std::ostream& out, std::ostream& err) {
+  const std::string file = a.text("out");
   if (file.empty()) {
     err << "record: --out FILE is required\n";
     return 2;
   }
-  const auto mode = parse_mode(opt.get("mode", "uncached-nvm"));
-  if (!mode) {
-    err << "record: unknown mode\n";
-    return 2;
-  }
-  const AppConfig cfg = config_from(opt);
+  const auto mode = mode_of(a);
+  if (!mode) return 2;
+  const AppConfig cfg = config_from(a);
   MemorySystem sys(SystemConfig::testbed(*mode));
   TraceCapture capture(sys);
   AppContext ctx(sys, cfg);
-  (void)lookup_app(opt.positional()[0]).run(ctx);
+  (void)lookup_app(a.positional(0)).run(ctx);
   const auto rec = capture.finish();
-  std::ofstream f(file);
-  if (!f) {
-    err << "record: cannot write " << file << "\n";
-    return 1;
-  }
-  f << rec.save();
+  if (!write_file(file, rec.save(), err, "record")) return 1;
   out << "recorded " << rec.phases.size() << " phases over "
       << rec.buffers.size() << " buffers ("
       << format_bytes(rec.total_bytes()) << " of traffic) to " << file
@@ -693,29 +516,22 @@ int cmd_record(const Options& opt, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-int cmd_replay(const Options& opt, std::ostream& out, std::ostream& err) {
-  if (opt.positional().empty()) {
-    err << "replay: missing trace file\n";
-    return 2;
-  }
-  std::ifstream f(opt.positional()[0]);
+int cmd_replay(const CommandArgs& a, std::ostream& out, std::ostream& err) {
+  std::ifstream f(a.positional(0));
   if (!f) {
-    err << "replay: cannot read " << opt.positional()[0] << "\n";
+    err << "replay: cannot read " << a.positional(0) << "\n";
     return 1;
   }
   std::stringstream buf;
   buf << f.rdbuf();
   const auto rec = PhaseRecording::load(buf.str());
 
-  const auto mode = parse_mode(opt.get("mode", "uncached-nvm"));
-  if (!mode) {
-    err << "replay: unknown mode\n";
-    return 2;
-  }
+  const auto mode = mode_of(a);
+  if (!mode) return 2;
   SystemConfig sys_cfg = SystemConfig::testbed(*mode);
-  const double wbw = opt.get_double("nvm-write-bw", 0.0);
+  const double wbw = a.number("nvm-write-bw");
   if (wbw > 0.0) sys_cfg.nvm.write_bw_peak = gbps(wbw);
-  const double rbw = opt.get_double("nvm-read-bw", 0.0);
+  const double rbw = a.number("nvm-read-bw");
   if (rbw > 0.0) sys_cfg.nvm.read_bw_peak = gbps(rbw);
 
   MemorySystem sys(sys_cfg);
@@ -730,14 +546,6 @@ int cmd_replay(const Options& opt, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-bool is_registered_app(const std::string& name) {
-  for (const auto& a : app_names())
-    if (a == name) return true;
-  for (const auto& a : extra_app_names())
-    if (a == name) return true;
-  return false;
-}
-
 // Resolve an `explain`/`diff` target — a saved `nvmstrace v1` recording
 // or a registered application name — into a RunProfile.  The app form
 // routes through run_sweep (a 1-cell grid honoring --jobs and
@@ -745,20 +553,16 @@ bool is_registered_app(const std::string& name) {
 // byte-identical for any jobs count and any resolve-cache mode.  The
 // trace form replays the recording once with telemetry attached.
 std::optional<RunProfile> profile_of_target(const std::string& target,
-                                            const Options& opt,
+                                            const CommandArgs& a,
                                             std::ostream& err,
                                             const char* cmd,
                                             const CommandContext* ctx,
                                             const char* mode_opt = "mode") {
-  const auto mode =
-      parse_mode(opt.get(mode_opt, opt.get("mode", "uncached-nvm")));
-  if (!mode) {
-    err << cmd << ": unknown mode\n";
-    return std::nullopt;
-  }
-  const auto cache_mode = cache_mode_from(opt, err, cmd);
+  const auto mode = mode_of(a, mode_opt);
+  if (!mode) return std::nullopt;
+  const auto cache_mode = cache_mode_of(a);
   if (!cache_mode) return std::nullopt;
-  const auto intra = intra_jobs_from(opt, err, cmd);
+  const auto intra = a.lanes("intra-jobs");
   if (!intra) return std::nullopt;
 
   std::ifstream f(target);
@@ -772,16 +576,7 @@ std::optional<RunProfile> profile_of_target(const std::string& target,
     Telemetry telemetry;
     sys.set_telemetry(&telemetry);
     std::optional<ResolveCache> cache;
-    if (*cache_mode == ResolveCacheMode::kShared && ctx != nullptr &&
-        ctx->shared_cache != nullptr) {
-      sys.set_resolve_cache(ctx->shared_cache);
-    } else if (*cache_mode != ResolveCacheMode::kOff) {
-      cache.emplace(/*shards=*/1);
-      // Single replay, private cache: stream inserts cannot recur (see
-      // cmd_run) — skip them.
-      cache->streams().set_insert_bypass(true);
-      sys.set_resolve_cache(&*cache);
-    }
+    sys.set_resolve_cache(run_cache(*cache_mode, ctx, cache));
     (void)rec.replay(sys);
     return build_run_profile(telemetry, analyze_context(sys_cfg, target));
   }
@@ -794,9 +589,9 @@ std::optional<RunProfile> profile_of_target(const std::string& target,
   SweepSpec spec;
   spec.app = target;
   spec.modes = {*mode};
-  spec.threads = {static_cast<int>(opt.get_int("threads", 36))};
-  spec.scales = {opt.get_double("scale", 1.0)};
-  spec.jobs = static_cast<int>(opt.get_int_at_least("jobs", 0, 0));
+  spec.threads = {static_cast<int>(a.integer("threads"))};
+  spec.scales = {a.number("scale")};
+  spec.jobs = static_cast<int>(a.integer("jobs"));
   spec.intra_jobs = *intra;
   spec.telemetry = true;
   spec.resolve_cache = *cache_mode;
@@ -814,28 +609,21 @@ std::optional<RunProfile> profile_of_target(const std::string& target,
   return sweep_profile(result, target);
 }
 
-int cmd_explain(const Options& opt, std::ostream& out, std::ostream& err,
+int cmd_explain(const CommandArgs& a, std::ostream& out, std::ostream& err,
                 const CommandContext* ctx) {
-  if (opt.positional().empty()) {
-    err << "explain: missing application name or trace file\n";
-    return 2;
-  }
   const auto profile =
-      profile_of_target(opt.positional()[0], opt, err, "explain", ctx);
+      profile_of_target(a.positional(0), a, err, "explain", ctx);
   if (!profile) return 2;
-  const std::string format = opt.get("format", "human");
-  if (format == "human") {
+  const auto format = a.choice("format");
+  if (!format) return 2;
+  if (*format == "human") {
     out << render_run_profile(*profile);
-  } else if (format == "json") {
+  } else if (*format == "json") {
     out << run_profile_json(*profile).dump(2) << "\n";
-  } else if (format == "csv") {
-    out << run_profile_csv(*profile);
   } else {
-    err << "explain: unknown --format '" << format
-        << "' (want human|json|csv)\n";
-    return 2;
+    out << run_profile_csv(*profile);
   }
-  const std::string metrics_out = opt.get("metrics-out", "");
+  const std::string metrics_out = a.text("metrics-out");
   if (!metrics_out.empty()) {
     Telemetry summary;
     publish_run_profile(*profile, summary.metrics());
@@ -847,32 +635,26 @@ int cmd_explain(const Options& opt, std::ostream& out, std::ostream& err,
   return 0;
 }
 
-int cmd_diff(const Options& opt, std::ostream& out, std::ostream& err,
+int cmd_diff(const CommandArgs& a, std::ostream& out, std::ostream& err,
              const CommandContext* ctx) {
-  if (opt.positional().size() < 2) {
-    err << "diff: need two applications or trace files\n";
-    return 2;
-  }
   // Each side may override the shared --mode (e.g. `diff hypre hypre
   // --mode-a cached-nvm --mode-b uncached-nvm` asks why Memory mode and
   // App-Direct diverge on the same application).
-  const auto a =
-      profile_of_target(opt.positional()[0], opt, err, "diff", ctx, "mode-a");
-  if (!a) return 2;
-  const auto b =
-      profile_of_target(opt.positional()[1], opt, err, "diff", ctx, "mode-b");
-  if (!b) return 2;
-  const RunDiff d = diff_profiles(*a, *b);
-  const std::string format = opt.get("format", "human");
-  if (format == "human") {
+  const auto pa =
+      profile_of_target(a.positional(0), a, err, "diff", ctx, "mode-a");
+  if (!pa) return 2;
+  const auto pb =
+      profile_of_target(a.positional(1), a, err, "diff", ctx, "mode-b");
+  if (!pb) return 2;
+  const RunDiff d = diff_profiles(*pa, *pb);
+  const auto format = a.choice("format");
+  if (!format) return 2;
+  if (*format == "human") {
     out << render_run_diff(d);
-  } else if (format == "json") {
-    out << run_diff_json(d).dump(2) << "\n";
   } else {
-    err << "diff: unknown --format '" << format << "' (want human|json)\n";
-    return 2;
+    out << run_diff_json(d).dump(2) << "\n";
   }
-  const std::string metrics_out = opt.get("metrics-out", "");
+  const std::string metrics_out = a.text("metrics-out");
   if (!metrics_out.empty()) {
     Telemetry summary;
     publish_run_diff(d, summary.metrics());
@@ -884,19 +666,12 @@ int cmd_diff(const Options& opt, std::ostream& out, std::ostream& err,
   return 0;
 }
 
-int cmd_optimize(const Options& opt, std::ostream& out, std::ostream& err) {
-  if (opt.positional().empty()) {
-    err << "optimize: missing application name or trace file\n";
-    return 2;
-  }
-  const std::string target = opt.positional()[0];
-  const auto mode = parse_mode(opt.get("mode", "uncached-nvm"));
-  if (!mode) {
-    err << "optimize: unknown mode\n";
-    return 2;
-  }
+int cmd_optimize(const CommandArgs& a, std::ostream& out, std::ostream& err) {
+  const std::string target = a.positional(0);
+  const auto mode = mode_of(a);
+  if (!mode) return 2;
   SystemConfig sys_cfg = SystemConfig::testbed(*mode);
-  const auto intra = intra_jobs_from(opt, err, "optimize");
+  const auto intra = a.lanes("intra-jobs");
   if (!intra) return 2;
   // 0 (auto) is passed through: each replayed MemorySystem leases
   // whatever lanes are free at construction.  The plan never depends on
@@ -912,7 +687,7 @@ int cmd_optimize(const Options& opt, std::ostream& out, std::ostream& err) {
     buf << f.rdbuf();
     rec = PhaseRecording::load(buf.str());
   } else if (is_registered_app(target)) {
-    const AppConfig cfg = config_from(opt);
+    const AppConfig cfg = config_from(a);
     MemorySystem sys(sys_cfg);
     TraceCapture capture(sys);
     AppContext ctx(sys, cfg);
@@ -928,16 +703,16 @@ int cmd_optimize(const Options& opt, std::ostream& out, std::ostream& err) {
   // Checked budget parsing (cli/parse.hpp): "10xyz" or "1.5q" used to be
   // silently truncated by std::stod's partial match; now they're errors.
   std::string why;
-  const auto budget = parse_budget_spec(opt.get("budget", "35%"),
-                                        sys_cfg.dram.capacity, &why);
+  const auto budget =
+      parse_budget_spec(a.text("budget"), sys_cfg.dram.capacity, &why);
   if (!budget) {
     err << "optimize: bad --budget: " << why << "\n";
     return 2;
   }
 
   TraceOptimizerOptions oopt;
-  oopt.jobs = static_cast<int>(opt.get_int_at_least("jobs", 0, 0));
-  oopt.min_gain = opt.get_double("min-gain", 1e-3);
+  oopt.jobs = static_cast<int>(a.integer("jobs"));
+  oopt.min_gain = a.number("min-gain");
   const auto r = optimize_placement(
       rec, *budget, [&sys_cfg] { return MemorySystem(sys_cfg); }, oopt);
 
@@ -978,45 +753,53 @@ int cmd_optimize(const Options& opt, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
+/// Run the handler of `name`; nullopt for rows this module does not run
+/// (serve/client are routed by main.cpp, inline rows are daemon-only).
+std::optional<int> dispatch(std::string_view name, const CommandArgs& a,
+                            std::ostream& out, std::ostream& err,
+                            const CommandContext* ctx) {
+  if (name == "list") return cmd_list(out);
+  if (name == "devices") return cmd_devices(out);
+  if (name == "run") return cmd_run(a, out, err, ctx);
+  if (name == "sweep") return cmd_sweep(a, out, err, ctx);
+  if (name == "inspect") return cmd_inspect(a, out, err);
+  if (name == "explain") return cmd_explain(a, out, err, ctx);
+  if (name == "diff") return cmd_diff(a, out, err, ctx);
+  if (name == "profile") return cmd_profile(a, out, err);
+  if (name == "record") return cmd_record(a, out, err);
+  if (name == "replay") return cmd_replay(a, out, err);
+  if (name == "optimize") return cmd_optimize(a, out, err);
+  if (name == "help") {
+    out << render_help();
+    return 0;
+  }
+  return std::nullopt;
+}
+
 }  // namespace
 
 int run_command(const std::string& cmd, const Options& opt,
                 std::ostream& out, std::ostream& err,
                 const CommandContext* ctx) {
-  int rc;
-  if (cmd == "list") {
-    rc = cmd_list(out);
-  } else if (cmd == "devices") {
-    rc = cmd_devices(out);
-  } else if (cmd == "run") {
-    rc = cmd_run(opt, out, err, ctx);
-  } else if (cmd == "sweep") {
-    rc = cmd_sweep(opt, out, err, ctx);
-  } else if (cmd == "inspect") {
-    rc = cmd_inspect(opt, out, err);
-  } else if (cmd == "explain") {
-    rc = cmd_explain(opt, out, err, ctx);
-  } else if (cmd == "diff") {
-    rc = cmd_diff(opt, out, err, ctx);
-  } else if (cmd == "profile") {
-    rc = cmd_profile(opt, out, err);
-  } else if (cmd == "record") {
-    rc = cmd_record(opt, out, err);
-  } else if (cmd == "replay") {
-    rc = cmd_replay(opt, out, err);
-  } else if (cmd == "optimize") {
-    rc = cmd_optimize(opt, out, err);
-  } else if (cmd == "help" || cmd == "--help") {
-    out << kUsage;
-    rc = 0;
-  } else {
-    err << "unknown command '" << cmd << "'\n" << kUsage;
+  const CommandSpec* spec = find_command(cmd == "--help" ? "help" : cmd);
+  std::optional<int> rc;
+  if (spec != nullptr) {
+    const CommandArgs a(*spec, opt, err);
+    if (opt.positional().size() < spec->arity) {
+      err << cmd << ": " << spec->missing << "\n";
+      rc = 2;
+    } else {
+      rc = dispatch(spec->name, a, out, err, ctx);
+    }
+  }
+  if (!rc) {
+    err << "unknown command '" << cmd << "'\n" << render_help();
     return 2;
   }
   for (const auto& key : opt.unused()) {
     err << "warning: unused option --" << key << "\n";
   }
-  return rc;
+  return *rc;
 }
 
 int run_command_guarded(const std::string& cmd, const Options& opt,
@@ -1041,7 +824,7 @@ int run_command_guarded(const std::string& cmd, const Options& opt,
 
 int cli_main(int argc, char** argv, std::ostream& out, std::ostream& err) {
   if (argc < 2) {
-    err << kUsage;
+    err << render_help();
     return 2;
   }
   const std::string cmd = argv[1];

@@ -1,12 +1,7 @@
 // The nvmsim command-line driver (library part, so tests can call it).
 //
-// Commands:
-//   list                              — registered applications
-//   run <app> [--mode M] [--threads N] [--scale S] [--iters K]
-//             [--trace FILE.csv] [--remote-nvm]
-//   sweep <app> [--modes a,b,c] [--threads 12,24,36] [--scale S]
-//   profile <app> [--threads N] [--scale S] [--budget PCT]
-//   devices                           — calibrated device parameters
+// The subcommands, their options and their help live in one table
+// (cli/commands.hpp); `nvmsim help` prints it.
 //
 // Two frontends share the dispatch below: the one-shot CLI (cli_main,
 // argv) and the nvmsimd daemon (serve/, JSON requests mapped onto the

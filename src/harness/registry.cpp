@@ -77,6 +77,13 @@ const App& lookup_app(const std::string& name) {
   throw ConfigError("unknown app '" + name + "'");
 }
 
+bool is_registered_app(const std::string& name) {
+  for (const auto& a : all_apps()) {
+    if (a->name() == name) return true;
+  }
+  return false;
+}
+
 AppResult run_app(const std::string& name, Mode mode, const AppConfig& cfg) {
   return run_app_on(name, SystemConfig::testbed(mode), cfg);
 }

@@ -40,6 +40,9 @@ void init_registry();
 /// Look up an app by name; throws ConfigError for unknown names.
 const App& lookup_app(const std::string& name);
 
+/// True when `name` is one of app_names() or extra_app_names().
+bool is_registered_app(const std::string& name);
+
 /// Build the scaled testbed and run `name` on it.
 AppResult run_app(const std::string& name, Mode mode, const AppConfig& cfg);
 

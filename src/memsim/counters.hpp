@@ -43,7 +43,7 @@ struct HwCounters {
     return *this;
   }
 
-  /// Delta snapshots: after -= before (RunRecorder, window re-binning).
+  /// Delta snapshots: after -= before (RunRecorder).
   HwCounters& operator-=(const HwCounters& o) {
     instructions -= o.instructions;
     cycles_active -= o.cycles_active;
@@ -54,7 +54,7 @@ struct HwCounters {
     return *this;
   }
 
-  /// Proportional split of a delta across windows (rebin_windows).
+  /// Scale every counter (a proportional share of a delta).
   HwCounters& operator*=(double f) {
     instructions *= f;
     cycles_active *= f;

@@ -42,7 +42,6 @@
 #include "pmem/log.hpp"
 #include "pmem/region.hpp"
 #include "prof/data_profile.hpp"
-#include "prof/windows.hpp"
 #include "replay/recording.hpp"
 #include "prof/run_recorder.hpp"
 #include "simcore/stats.hpp"

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "simcore/error.hpp"
-
 namespace nvms {
 
 int QuantileSketch::bucket_of(double value) {
@@ -85,45 +83,6 @@ double QuantileSketch::quantile(double q) const {
     cum += n;
   }
   return max();
-}
-
-SlidingWindowAggregator::SlidingWindowAggregator(double window_s,
-                                                 std::size_t max_windows)
-    : window_s_(window_s), max_windows_(max_windows) {
-  require(window_s > 0.0, "sliding window: window_s must be positive");
-}
-
-void SlidingWindowAggregator::observe(std::string_view name,
-                                      std::string_view labels, double t,
-                                      double value) {
-  std::string key;
-  key.reserve(name.size() + labels.size() + 1);
-  key.append(name);
-  key.push_back('|');
-  key.append(labels);
-  auto it = index_.find(key);
-  if (it == index_.end()) {
-    it = index_.emplace(std::move(key), streams_.size()).first;
-    streams_.push_back({std::string(name), std::string(labels), {}});
-  }
-  Stream& st = streams_[it->second];
-
-  const double w0 = std::floor(t / window_s_) * window_s_;
-  if (st.windows.empty() || w0 > st.windows.back().t0) {
-    st.windows.push_back({w0, w0 + window_s_, {}});
-    if (max_windows_ > 0 && st.windows.size() > max_windows_) {
-      st.windows.pop_front();
-    }
-  }
-  // In-order per key by contract; a late sample folds into the newest
-  // window so evicted history is never resurrected.
-  st.windows.back().sketch.add(value);
-}
-
-void SlidingWindowAggregator::observe_series(const Metric& m) {
-  for (const MetricPoint& p : m.series) {
-    observe(m.name, m.labels, p.t, p.value);
-  }
 }
 
 }  // namespace nvms

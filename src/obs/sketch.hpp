@@ -1,5 +1,4 @@
-// Deterministic fixed-bucket quantile sketches and label-keyed sliding
-// windows — the service-ready aggregation layer on top of the metrics
+// Deterministic fixed-bucket quantile sketches on top of the metrics
 // registry.
 //
 // QuantileSketch shares its bucket geometry with Metric's log2 histogram
@@ -12,24 +11,11 @@
 // The relative error is bounded by the bucket width (a factor of 2),
 // which is the paper-appropriate resolution for phase durations and
 // bandwidth samples spanning many orders of magnitude.
-//
-// SlidingWindowAggregator buckets (t, value) samples of many labeled
-// streams into fixed-width time windows and keeps, per (key, window):
-// count/sum/min/max plus a QuantileSketch.  Keys are kept in first-seen
-// order and windows in time order, so iteration (and any export built on
-// it) is deterministic for a deterministic simulation.  "Sliding" is
-// bounded: at most `max_windows` trailing windows are retained per key —
-// the admission shape a long-running service daemon needs (the ROADMAP's
-// `nvmsimd`), where series must not grow without bound.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <limits>
-#include <string>
-#include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -79,48 +65,6 @@ class QuantileSketch {
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// One aggregated window of one labeled stream.
-struct WindowCell {
-  double t0 = 0.0;  ///< window start (inclusive)
-  double t1 = 0.0;  ///< window end (exclusive)
-  QuantileSketch sketch;
-};
-
-class SlidingWindowAggregator {
- public:
-  /// `window_s` is the fixed bucket width; `max_windows` bounds the
-  /// trailing windows retained per key (0 = unbounded).
-  explicit SlidingWindowAggregator(double window_s,
-                                   std::size_t max_windows = 0);
-
-  /// Route one sample into the window floor(t / window_s) of the stream
-  /// keyed by (name, labels).  Samples must arrive in non-decreasing time
-  /// order per key (epoch series do); an older sample is folded into the
-  /// key's current window rather than resurrecting an evicted one.
-  void observe(std::string_view name, std::string_view labels, double t,
-               double value);
-
-  /// Aggregate a whole recorded gauge series.
-  void observe_series(const Metric& m);
-
-  struct Stream {
-    std::string name;
-    std::string labels;
-    std::deque<WindowCell> windows;  ///< time order, trailing `max_windows`
-  };
-
-  /// Streams in first-seen key order.
-  const std::vector<Stream>& streams() const { return streams_; }
-
-  double window_s() const { return window_s_; }
-
- private:
-  double window_s_;
-  std::size_t max_windows_;
-  std::vector<Stream> streams_;
-  std::unordered_map<std::string, std::size_t> index_;  ///< "name|labels"
 };
 
 }  // namespace nvms

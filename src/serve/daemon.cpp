@@ -21,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "cli/commands.hpp"
 #include "cli/driver.hpp"
 #include "cli/options.hpp"
 #include "harness/admission.hpp"
@@ -449,21 +450,27 @@ struct Daemon::Impl {
       const int active = 1 + busy_workers.fetch_add(1);
       set_gauge(id_queue_depth, static_cast<double>(queue.depth()));
       observe(id_queue_wait, ms_since(job->admitted));
-      // Hand idle intra-run lanes to this request: a request that did
-      // not pick a width gets the lane budget split over the requests
-      // executing right now (the whole machine when it is alone).  The
-      // response bytes never depend on the width, so the grant can vary
-      // freely with load.
-      if (job->req.args.count("intra-jobs") == 0) {
+      // Hand idle intra-run lanes to this request: a request whose
+      // command takes lanes and that did not pick a width gets the lane
+      // budget split over the requests executing right now (the whole
+      // machine when it is alone).  The response bytes never depend on
+      // the width, so the grant can vary freely with load.
+      const bool grant =
+          find_command(job->req.cmd)->option("intra-jobs") != nullptr &&
+          job->req.args.count("intra-jobs") == 0;
+      if (grant) {
         job->req.args["intra-jobs"] =
             std::to_string(resolve_auto_intra_jobs(active));
       }
+      const Options opt = options_from(job->req);
+      // The grant is not the client's option: a command that exits
+      // before reading it must not warn about it, or stderr would differ
+      // from the one-shot run.
+      if (grant) (void)opt.get("intra-jobs", "");
       std::ostringstream sout, serr;
       CommandContext ctx;
       ctx.shared_cache = &cache;
-      const int rc = run_command_guarded(job->req.cmd,
-                                         options_from(job->req), sout, serr,
-                                         &ctx);
+      const int rc = run_command_guarded(job->req.cmd, opt, sout, serr, &ctx);
       write_line(*job->conn,
                  exec_response(job->req.id, rc, sout.str(), serr.str()),
                  cfg.write_timeout_ms);
@@ -624,24 +631,20 @@ int serve_main(int argc, char** argv, std::ostream& out, std::ostream& err) {
   ServeConfig cfg;
   try {
     const Options opt = Options::parse(argc, argv, 2);
-    cfg.socket_path = opt.get("socket", "");
-    cfg.port = opt.has("port")
-                   ? static_cast<int>(opt.get_int_at_least("port", 0, 0))
-                   : -1;
-    cfg.host = opt.get("host", "127.0.0.1");
+    const CommandArgs a(*find_command("serve"), opt, err);
+    cfg.socket_path = a.text("socket");
+    cfg.port = a.has("port") ? static_cast<int>(a.integer("port")) : -1;
+    cfg.host = a.text("host");
     const unsigned hw = std::thread::hardware_concurrency();
-    cfg.workers = static_cast<int>(
-        opt.get_int_at_least("workers", hw > 2 ? hw : 2, 1));
-    cfg.queue_capacity = static_cast<std::size_t>(
-        opt.get_int_at_least("queue", 256, 1));
-    cfg.client_budget = static_cast<std::uint64_t>(
-        opt.get_int_at_least("client-budget", 0, 0));
-    cfg.max_line_bytes = static_cast<std::size_t>(
-        opt.get_int_at_least("max-line-bytes", 1 << 20, 64));
-    cfg.idle_timeout_ms = static_cast<int>(
-        opt.get_int_at_least("idle-timeout-ms", 30000, 100));
-    cfg.write_timeout_ms = static_cast<int>(
-        opt.get_int_at_least("write-timeout-ms", 10000, 100));
+    cfg.workers = a.has("workers") ? static_cast<int>(a.integer("workers"))
+                                   : static_cast<int>(hw > 2 ? hw : 2);
+    cfg.queue_capacity = static_cast<std::size_t>(a.integer("queue"));
+    cfg.client_budget =
+        static_cast<std::uint64_t>(a.integer("client-budget"));
+    cfg.max_line_bytes =
+        static_cast<std::size_t>(a.integer("max-line-bytes"));
+    cfg.idle_timeout_ms = static_cast<int>(a.integer("idle-timeout-ms"));
+    cfg.write_timeout_ms = static_cast<int>(a.integer("write-timeout-ms"));
     for (const auto& key : opt.unused()) {
       err << "warning: unused option --" << key << "\n";
     }
@@ -671,9 +674,9 @@ int serve_main(int argc, char** argv, std::ostream& out, std::ostream& err) {
 namespace {
 
 /// Connect per the client options; -1 + message on failure.
-int client_connect(const Options& opt, std::ostream& err) {
-  const std::string socket_path = opt.get("socket", "");
-  const long port = opt.get_int("port", -1);
+int client_connect(const CommandArgs& a, std::ostream& err) {
+  const std::string socket_path = a.text("socket");
+  const long port = a.has("port") ? a.integer("port") : -1;
   if (!socket_path.empty()) {
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
@@ -693,7 +696,7 @@ int client_connect(const Options& opt, std::ostream& err) {
     return fd;
   }
   if (port >= 0) {
-    const std::string host = opt.get("host", "127.0.0.1");
+    const std::string host = a.text("host");
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(static_cast<std::uint16_t>(port));
@@ -760,12 +763,11 @@ int client_main(int argc, char** argv, std::istream& in, std::ostream& out,
   int fd = -1;
   try {
     const Options opt = Options::parse(argc, argv, 2);
-    extract = opt.get("extract", "");
-    if (!extract.empty() && extract != "out" && extract != "err") {
-      err << "client: --extract wants out|err\n";
-      return 2;
-    }
-    fd = client_connect(opt, err);
+    const CommandArgs a(*find_command("client"), opt, err);
+    const auto field = a.choice("extract");
+    if (!field) return 2;
+    extract = *field;
+    fd = client_connect(a, err);
     for (const auto& key : opt.unused()) {
       err << "warning: unused option --" << key << "\n";
     }

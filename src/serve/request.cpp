@@ -1,34 +1,17 @@
 #include "serve/request.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <string_view>
 #include <utility>
 
+#include "cli/commands.hpp"
 #include "harness/registry.hpp"
 #include "serve/jsonv.hpp"
 
 namespace nvms {
 namespace {
-
-/// Served = pure query over registered state, stdout/stderr only.
-const char* const kServedCommands[] = {
-    "list", "devices", "run",  "sweep",   "inspect", "explain", "diff",
-    "optimize", "profile", "help", "ping", "metrics", "stats", "shutdown"};
-
-/// Keys that would make the daemon read or write host paths.
-const char* const kForbiddenOptions[] = {"trace",       "trace-out",
-                                         "metrics-out", "jsonl",
-                                         "stats",       "out"};
-
-bool is_registered_app_name(const std::string& name) {
-  for (const auto& a : app_names()) {
-    if (a == name) return true;
-  }
-  for (const auto& a : extra_app_names()) {
-    if (a == name) return true;
-  }
-  return false;
-}
 
 /// Render a JSON scalar the way the CLI would have received it in argv.
 /// Integral numbers drop the fraction ("12", not "12.0"); clients who
@@ -49,35 +32,22 @@ std::string scalar_to_string(const JsonValue& v) {
   return "";
 }
 
-/// Admission cost: proportional to how much simulation a command can
-/// queue up.  A sweep pays per grid cell (counted leniently from the CSV
-/// shapes — a malformed CSV still costs its cell count and then fails in
-/// the shared checked parser with the CLI's own diagnostic).
-std::uint64_t cost_of(const ServeRequest& r) {
-  auto csv_cells = [](const std::string& s, std::uint64_t fallback) {
-    if (s.empty()) return fallback;
-    std::uint64_t n = 1;
-    for (const char c : s) {
-      if (c == ',') ++n;
-    }
-    return n;
-  };
-  if (r.cmd == "sweep") {
-    const auto mode_it = r.args.find("modes");
-    const auto thr_it = r.args.find("threads");
-    const std::uint64_t modes =
-        csv_cells(mode_it == r.args.end() ? "" : mode_it->second, 3);
-    const std::uint64_t threads =
-        csv_cells(thr_it == r.args.end() ? "" : thr_it->second, 4);
-    return modes * threads;
+/// Admission cost: the row's base cost times the cell count of each
+/// list-valued option, so a sweep pays per grid cell.  Cells are counted
+/// leniently from the CSV shape: a malformed CSV still costs its cell
+/// count and then fails in the shared checked parser with the CLI's own
+/// diagnostic.
+std::uint64_t cost_of(const CommandSpec& spec, const ServeRequest& r) {
+  std::uint64_t cost = spec.cost;
+  for (const OptionSpec& o : spec.options) {
+    if (o.kind != OptKind::kIntCsv && o.kind != OptKind::kEnumCsv) continue;
+    const auto it = r.args.find(std::string(o.name));
+    const std::string_view csv =
+        it == r.args.end() || it->second.empty() ? o.def : it->second;
+    cost *= 1 + static_cast<std::uint64_t>(
+                    std::count(csv.begin(), csv.end(), ','));
   }
-  if (r.cmd == "diff") return 2;
-  if (r.cmd == "optimize") return 4;
-  if (r.cmd == "run" || r.cmd == "inspect" || r.cmd == "explain" ||
-      r.cmd == "profile") {
-    return 1;
-  }
-  return 0;  // list/devices/help and the daemon-internal commands
+  return cost;
 }
 
 RequestParse reject(std::string id, std::string code, std::string error) {
@@ -91,15 +61,14 @@ RequestParse reject(std::string id, std::string code, std::string error) {
 }  // namespace
 
 bool is_served_command(const std::string& cmd) {
-  for (const char* c : kServedCommands) {
-    if (cmd == c) return true;
-  }
-  return false;
+  const CommandSpec* spec = find_command(cmd);
+  return spec != nullptr && spec->served != Served::kNo;
 }
 
 bool is_forbidden_option(const std::string& key) {
-  for (const char* c : kForbiddenOptions) {
-    if (key == c) return true;
+  for (const CommandSpec& c : command_table()) {
+    const OptionSpec* o = c.option(key);
+    if (o != nullptr && o->kind == OptKind::kPath) return true;
   }
   return false;
 }
@@ -179,7 +148,7 @@ RequestParse parse_request(const std::string& line) {
   // Targets must be registered applications: the CLI also accepts trace
   // *files* here, but a network client must not probe host paths.
   for (const auto& p : r.positionals) {
-    if (!is_registered_app_name(p)) {
+    if (!is_registered_app(p)) {
       return reject(id, "forbidden",
                     "target '" + p +
                         "' is not a registered application (the service "
@@ -202,7 +171,7 @@ RequestParse parse_request(const std::string& line) {
     r.priority = p < 0 ? 0 : (p > 9 ? 9 : static_cast<int>(p));
   }
 
-  r.cost = cost_of(r);
+  r.cost = cost_of(*find_command(r.cmd), r);
   RequestParse out;
   out.id = id;
   out.request = std::move(r);

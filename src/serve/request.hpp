@@ -6,7 +6,7 @@
 // Request line (one JSON object, fields beyond these are rejected-free
 // but ignored):
 //   {"id": "r1",                  // echoed in the response (optional)
-//    "cmd": "sweep",              // required; see kServedCommands
+//    "cmd": "sweep",              // required; a served row of cli/commands
 //    "target": "stream",          // one positional, or "targets": [...]
 //    "args": {"threads": "12,24", "mode": "dram-only", "json": true},
 //    "client": "alice",           // budget accounting key (default anon)
@@ -52,12 +52,14 @@ struct RequestParse {
   std::string id;
 };
 
-/// Commands the daemon serves.  record/replay are excluded by design:
-/// they read/write host files, which a network client must not drive.
+/// Commands the daemon serves: the command table's served rows.
+/// record/replay are excluded by design: they read/write host files,
+/// which a network client must not drive.
 bool is_served_command(const std::string& cmd);
 
 /// Option keys rejected in requests because they would make the daemon
-/// touch host paths on a client's behalf.
+/// touch host paths on a client's behalf: every option some row of the
+/// command table declares with the host-path kind.
 bool is_forbidden_option(const std::string& key);
 
 /// Parse + validate one request line (max_bytes is enforced upstream by

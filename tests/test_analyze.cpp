@@ -1,6 +1,6 @@
 // Tests for the bottleneck-attribution layer (obs/analyze/) and the
-// service-ready aggregation primitives (obs/sketch.hpp): quantile-sketch
-// geometry, sliding windows, the attribution rule pipeline, profile
+// quantile sketch (obs/sketch.hpp): sketch geometry, the attribution
+// rule pipeline, profile
 // construction/merging, run diffing, the Prometheus exporter's text
 // format, and the `explain`/`diff` CLI determinism contract (byte-equal
 // output across --jobs and --resolve-cache).
@@ -21,7 +21,6 @@
 #include "obs/export.hpp"
 #include "obs/sketch.hpp"
 #include "obs/telemetry.hpp"
-#include "prof/windows.hpp"
 
 namespace nvms {
 namespace {
@@ -94,57 +93,6 @@ TEST(Sketch, MergeEqualsUnion) {
   for (double q : {0.1, 0.5, 0.95, 0.99}) {
     EXPECT_DOUBLE_EQ(a.quantile(q), u.quantile(q));
   }
-}
-
-// ---------- sliding windows -------------------------------------------------
-
-TEST(Windows, SlidingAggregatorBucketsByTimeAndKey) {
-  SlidingWindowAggregator agg(1.0);
-  agg.observe("bw.read_gbs", "device=nvm0", 0.25, 10.0);
-  agg.observe("bw.read_gbs", "device=nvm0", 0.75, 20.0);
-  agg.observe("bw.read_gbs", "device=nvm0", 1.5, 30.0);
-  agg.observe("bw.read_gbs", "device=dram0", 0.5, 50.0);
-  ASSERT_EQ(agg.streams().size(), 2u);  // first-seen key order
-  const auto& nvm = agg.streams()[0];
-  EXPECT_EQ(nvm.name, "bw.read_gbs");
-  EXPECT_EQ(nvm.labels, "device=nvm0");
-  ASSERT_EQ(nvm.windows.size(), 2u);
-  EXPECT_DOUBLE_EQ(nvm.windows[0].t0, 0.0);
-  EXPECT_DOUBLE_EQ(nvm.windows[0].t1, 1.0);
-  EXPECT_EQ(nvm.windows[0].sketch.count(), 2u);
-  EXPECT_DOUBLE_EQ(nvm.windows[0].sketch.mean(), 15.0);
-  EXPECT_DOUBLE_EQ(nvm.windows[1].t0, 1.0);
-  EXPECT_EQ(nvm.windows[1].sketch.count(), 1u);
-  EXPECT_EQ(agg.streams()[1].labels, "device=dram0");
-}
-
-TEST(Windows, SlidingAggregatorBoundsRetainedWindows) {
-  SlidingWindowAggregator agg(1.0, /*max_windows=*/2);
-  for (int w = 0; w < 5; ++w) {
-    agg.observe("g", "", static_cast<double>(w) + 0.5,
-                static_cast<double>(w));
-  }
-  ASSERT_EQ(agg.streams().size(), 1u);
-  const auto& wins = agg.streams()[0].windows;
-  ASSERT_EQ(wins.size(), 2u);  // only the trailing two survive
-  EXPECT_DOUBLE_EQ(wins[0].t0, 3.0);
-  EXPECT_DOUBLE_EQ(wins[1].t0, 4.0);
-  // A late (out-of-order) sample folds into the newest window instead of
-  // resurrecting an evicted one.
-  agg.observe("g", "", 0.1, 99.0);
-  EXPECT_EQ(agg.streams()[0].windows.back().sketch.count(), 2u);
-}
-
-TEST(Windows, WindowMetricsFoldsEverySeries) {
-  MetricsRegistry reg;
-  reg.epoch_sample("bw.read_gbs", "nvm0", 0.1, 5.0);
-  reg.epoch_sample("bw.read_gbs", "nvm0", 1.1, 7.0);
-  reg.epoch_sample("wpq.util", "nvm0", 0.2, 0.9);
-  const auto agg = window_metrics(reg, 1.0);
-  ASSERT_EQ(agg.streams().size(), 2u);
-  EXPECT_EQ(agg.streams()[0].name, "bw.read_gbs");
-  EXPECT_EQ(agg.streams()[0].windows.size(), 2u);
-  EXPECT_EQ(agg.streams()[1].name, "wpq.util");
 }
 
 // ---------- attribution rules ----------------------------------------------

@@ -4,8 +4,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
+#include "cli/commands.hpp"
 #include "cli/driver.hpp"
 #include "cli/options.hpp"
 #include "cli/parse.hpp"
@@ -189,14 +191,22 @@ TEST(Cli, RunWritesTraceCsv) {
 }
 
 TEST(Cli, SweepRunsMatrix) {
-  std::string out;
+  std::string out, err;
   EXPECT_EQ(run_cli({"sweep", "hacc", "--threads", "12,36", "--modes",
-                     "dram-only,uncached-nvm"},
-                    &out),
+                     "dram-only,uncached-nvm", "--jobs", "1"},
+                    &out, &err),
             0);
-  // header + separator + 4 rows + blank + executor summary
-  EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 8);
-  EXPECT_NE(out.find("executor: 4 task(s)"), std::string::npos);
+  // header + separator + 4 rows; the executor summary goes to stderr
+  EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 6);
+  EXPECT_EQ(out.find("executor:"), std::string::npos);
+  EXPECT_NE(err.find("executor: 4 task(s)"), std::string::npos);
+  // so human stdout is byte-identical for any --jobs
+  std::string parallel;
+  EXPECT_EQ(run_cli({"sweep", "hacc", "--threads", "12,36", "--modes",
+                     "dram-only,uncached-nvm", "--jobs", "3"},
+                    &parallel),
+            0);
+  EXPECT_EQ(out, parallel);
 }
 
 TEST(Cli, SweepJobsKeepsCsvByteIdentical) {
@@ -506,6 +516,61 @@ TEST(Cli, RecordRequiresOutFile) {
   EXPECT_EQ(run_cli({"record", "hacc"}, nullptr, &err), 2);
   EXPECT_NE(err.find("--out"), std::string::npos);
   EXPECT_EQ(run_cli({"replay", "/nonexistent/file"}, nullptr, &err), 1);
+}
+
+// ---------- command table ---------------------------------------------------
+
+TEST(CommandTable, ReadingAnUndeclaredOptionIsAProgrammingError) {
+  const Options opt = Options::from_map({{"threads", "12"}}, {});
+  std::ostringstream err;
+  const CommandArgs list(*find_command("list"), opt, err);
+  EXPECT_THROW((void)list.integer("threads"), std::logic_error);
+  EXPECT_THROW((void)list.has("threads"), std::logic_error);
+  // A declared option read through another kind's accessor fails too.
+  const CommandArgs run(*find_command("run"), opt, err);
+  EXPECT_EQ(run.integer("threads"), 12);
+  EXPECT_THROW((void)run.number("threads"), std::logic_error);
+  EXPECT_THROW((void)run.choice("threads"), std::logic_error);
+}
+
+TEST(CommandTable, DefaultsParseThroughTheirOwnKind) {
+  const Options opt = Options::from_map({}, {});
+  std::ostringstream err;
+  for (const CommandSpec& c : command_table()) {
+    const CommandArgs a(c, opt, err);
+    for (const OptionSpec& o : c.options) {
+      if (o.def.empty()) continue;
+      switch (o.kind) {
+        case OptKind::kInt: (void)a.integer(o.name); break;
+        case OptKind::kDouble: (void)a.number(o.name); break;
+        case OptKind::kIntCsv: EXPECT_TRUE(a.int_list(o.name)); break;
+        case OptKind::kEnum: EXPECT_TRUE(a.choice(o.name)); break;
+        case OptKind::kEnumCsv: EXPECT_TRUE(a.choice_list(o.name)); break;
+        case OptKind::kLanes: EXPECT_TRUE(a.lanes(o.name)); break;
+        default: break;
+      }
+    }
+  }
+  EXPECT_EQ(err.str(), "");
+}
+
+TEST(CommandTable, HelpNamesEveryCommandAndOption) {
+  std::string out;
+  EXPECT_EQ(run_cli({"help"}, &out), 0);
+  for (const CommandSpec& c : command_table()) {
+    EXPECT_NE(out.find(std::string(c.name)), std::string::npos) << c.name;
+    for (const OptionSpec& o : c.options) {
+      EXPECT_NE(out.find("--" + std::string(o.name)), std::string::npos)
+          << c.name << " --" << o.name;
+      EXPECT_FALSE(o.help.empty()) << c.name << " --" << o.name;
+    }
+  }
+}
+
+TEST(CommandTable, DaemonOnlyRowsAreNotCliCommands) {
+  std::string err;
+  EXPECT_EQ(run_cli({"ping"}, nullptr, &err), 2);
+  EXPECT_NE(err.find("unknown command 'ping'"), std::string::npos);
 }
 
 }  // namespace

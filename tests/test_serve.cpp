@@ -11,6 +11,7 @@
 #include <cerrno>
 #include <csignal>
 #include <cstring>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -18,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cli/commands.hpp"
 #include "cli/driver.hpp"
 #include "harness/admission.hpp"
 #include "serve/daemon.hpp"
@@ -272,6 +274,39 @@ TEST(ParseRequest, HostFileAccessIsForbidden) {
   EXPECT_EQ(p.code, "forbidden");
 }
 
+// The served set, the forbidden options and the costs all come from the
+// command table: every host-path option is refused at the door, every
+// other declared option of a served command is admitted.
+TEST(ParseRequest, FollowsTheCommandTable) {
+  for (const CommandSpec& c : command_table()) {
+    EXPECT_EQ(is_served_command(std::string(c.name)), c.served != Served::kNo)
+        << c.name;
+    for (const OptionSpec& o : c.options) {
+      const std::string key(o.name);
+      EXPECT_EQ(is_forbidden_option(key), o.kind == OptKind::kPath) << key;
+      // Every path option is refused on every served command, declared
+      // there or not.
+      const auto on_run = parse_request(R"({"cmd":"run","target":"stream",)"
+                                        R"("args":{")" + key + R"(":"x"}})");
+      if (o.kind == OptKind::kPath) {
+        EXPECT_FALSE(on_run.request.has_value()) << key;
+        EXPECT_EQ(on_run.code, "forbidden") << key;
+      }
+      if (c.served != Served::kYes) continue;
+      const auto p = parse_request(R"({"cmd":")" + std::string(c.name) +
+                                   R"(","target":"stream","args":{")" + key +
+                                   R"(":"x"}})");
+      if (o.kind == OptKind::kPath) {
+        EXPECT_FALSE(p.request.has_value()) << c.name << " --" << key;
+        EXPECT_EQ(p.code, "forbidden") << c.name << " --" << key;
+      } else {
+        EXPECT_TRUE(p.request.has_value())
+            << c.name << " --" << key << ": " << p.error;
+      }
+    }
+  }
+}
+
 // ---------- daemon end-to-end ------------------------------------------------
 
 /// Raw synchronous JSONL client over a unix socket.
@@ -449,6 +484,44 @@ TEST(ServeDaemon, ResponsesAreByteIdenticalToTheOneShotCli) {
             cli_stdout({"run", "stream", "--scale", "0.25", "--threads",
                         "12", "--mode", "dram-only", "--json"},
                        0));
+}
+
+// The daemon grants intra-run lanes only to commands whose row declares
+// --intra-jobs, so commands without lanes see no extra option and their
+// stderr matches the one-shot run too.
+TEST(ServeDaemon, StderrMatchesTheOneShotCli) {
+  DaemonFixture d(ServeConfig{});
+  RawClient c(d.path());
+  ASSERT_TRUE(c.ok());
+  struct Case {
+    const char* request;
+    const char* cmd;
+    std::vector<std::string> positionals;
+    std::map<std::string, std::string> args;
+    int rc;
+  };
+  const std::vector<Case> cases = {
+      {R"({"cmd":"list"})", "list", {}, {}, 0},
+      {R"({"cmd":"inspect","target":"stream","args":{"scale":0.1}})",
+       "inspect", {"stream"}, {{"scale", "0.1"}}, 0},
+      {R"({"cmd":"profile","target":"stream","args":{"scale":0.1}})",
+       "profile", {"stream"}, {{"scale", "0.1"}}, 0},
+      // Takes lanes, but exits before reading the daemon's grant.
+      {R"({"cmd":"sweep","target":"stream","args":{"threads":"12,abc"}})",
+       "sweep", {"stream"}, {{"threads", "12,abc"}}, 2},
+  };
+  for (const Case& k : cases) {
+    const JsonValue resp = c.roundtrip(k.request);
+    ASSERT_TRUE(resp.find("ok")->as_bool()) << k.request;
+    std::ostringstream out, err;
+    EXPECT_EQ(run_command_guarded(k.cmd, Options::from_map(k.args,
+                                                           k.positionals),
+                                  out, err),
+              k.rc);
+    EXPECT_DOUBLE_EQ(resp.find("exit")->as_number(), k.rc) << k.request;
+    EXPECT_EQ(resp.find("out")->as_string(), out.str()) << k.request;
+    EXPECT_EQ(resp.find("err")->as_string(), err.str()) << k.request;
+  }
 }
 
 TEST(ServeDaemon, MalformedRequestsGetStructuredErrorsNeverACrash) {

@@ -1,12 +1,11 @@
-// Tests for the structured sweep runner/CSV export (serial and parallel),
-// the experiment executor, and the fixed-window counter re-binning.
+// Tests for the structured sweep runner/CSV export (serial and parallel)
+// and the experiment executor.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "harness/executor.hpp"
 #include "harness/sweep.hpp"
-#include "prof/windows.hpp"
 #include "simcore/error.hpp"
 
 namespace nvms {
@@ -174,105 +173,6 @@ TEST(Executor, UnknownAppFailsFastAndConfigErrorsPropagate) {
   tasks[0].app = "hacc";
   tasks[0].cfg.threads = 0;  // invalid: AppContext validation throws
   EXPECT_THROW(run_experiments(tasks, 2), ConfigError);
-}
-
-// ---------- windowed re-binning ---------------------------------------------
-
-CounterSample mk_sample(const char* phase, double t0, double t1,
-                        double insns) {
-  CounterSample s;
-  s.phase = phase;
-  s.t0 = t0;
-  s.t1 = t1;
-  s.delta.instructions = insns;
-  s.delta.cycles_active = 2 * insns;
-  s.delta.imc_reads = insns / 10;
-  return s;
-}
-
-TEST(Windows, SplitsProportionally) {
-  // one phase spanning [0, 1) with 100 instructions, windows of 0.25s
-  const auto out = rebin_windows({mk_sample("p", 0.0, 1.0, 100)}, 0.25);
-  ASSERT_EQ(out.size(), 4u);
-  for (const auto& w : out) {
-    EXPECT_NEAR(w.delta.instructions, 25.0, 1e-9);
-    EXPECT_NEAR(w.ipc(), 0.5, 1e-12);
-  }
-}
-
-TEST(Windows, ConservesTotals) {
-  std::vector<CounterSample> samples = {
-      mk_sample("a", 0.0, 0.3, 30),
-      mk_sample("b", 0.3, 0.95, 650),
-      mk_sample("c", 0.95, 1.4, 45),
-  };
-  const auto out = rebin_windows(samples, 0.5);
-  ASSERT_EQ(out.size(), 3u);
-  double total = 0.0;
-  for (const auto& w : out) total += w.delta.instructions;
-  EXPECT_NEAR(total, 725.0, 1e-9);
-  // window boundaries tile the span
-  EXPECT_DOUBLE_EQ(out[0].t0, 0.0);
-  EXPECT_DOUBLE_EQ(out[1].t0, 0.5);
-  EXPECT_NEAR(out[2].t1, 1.4, 1e-12);
-}
-
-TEST(Windows, WindowLargerThanRunYieldsOneBin) {
-  const auto out = rebin_windows({mk_sample("p", 0.0, 0.2, 10)}, 5.0);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_NEAR(out[0].delta.instructions, 10.0, 1e-12);
-}
-
-TEST(Windows, ZeroDurationPhasesConserveCounts) {
-  // Instantaneous phases still carry counter deltas (flop-proportional
-  // instructions); re-binning must not drop them.
-  std::vector<CounterSample> samples = {
-      mk_sample("a", 0.0, 0.4, 40),
-      mk_sample("sync", 0.4, 0.4, 7),   // zero duration, mid-trace
-      mk_sample("b", 0.4, 1.0, 60),
-      mk_sample("end", 1.0, 1.0, 5),    // zero duration at t_end
-  };
-  const auto out = rebin_windows(samples, 0.5);
-  ASSERT_EQ(out.size(), 2u);
-  double total = 0.0;
-  for (const auto& w : out) total += w.delta.instructions;
-  EXPECT_NEAR(total, 112.0, 1e-9);
-  // window 0: all of a (40) + the sync marker (7) + b's [0.4,0.5) slice
-  // (60 * 0.1/0.6 = 10); window 1: the rest of b (50) + the clamped
-  // t_end marker (5).
-  EXPECT_NEAR(out[0].delta.instructions, 57.0, 1e-9);
-  EXPECT_NEAR(out[1].delta.instructions, 55.0, 1e-9);
-}
-
-TEST(Windows, AllZeroDurationYieldsNoWindows) {
-  // A trace with no time extent has no windows to bin into.
-  const auto out = rebin_windows({mk_sample("a", 0.5, 0.5, 10)}, 0.1);
-  EXPECT_TRUE(out.empty());
-}
-
-TEST(Windows, NonIntegerWindowSplitSumsExactly) {
-  // 1.0s of samples over 0.3s windows: 4 windows, last one 0.1s wide;
-  // the proportional split must conserve the total.
-  std::vector<CounterSample> samples = {
-      mk_sample("a", 0.0, 0.45, 450),
-      mk_sample("b", 0.45, 1.0, 550),
-  };
-  const auto out = rebin_windows(samples, 0.3);
-  ASSERT_EQ(out.size(), 4u);
-  EXPECT_NEAR(out[3].t1 - out[3].t0, 0.1, 1e-12);
-  double total = 0.0;
-  for (const auto& w : out) total += w.delta.instructions;
-  EXPECT_NEAR(total, 1000.0, 1e-9);
-  // each full window of the uniform-rate trace carries ~300 instructions
-  EXPECT_NEAR(out[0].delta.instructions, 300.0, 1e-9);
-  EXPECT_NEAR(out[1].delta.instructions, 300.0, 1e-9);
-  EXPECT_NEAR(out[2].delta.instructions, 300.0, 1e-9);
-  EXPECT_NEAR(out[3].delta.instructions, 100.0, 1e-9);
-}
-
-TEST(Windows, EmptyAndInvalidInputs) {
-  EXPECT_TRUE(rebin_windows({}, 0.1).empty());
-  EXPECT_THROW(rebin_windows({mk_sample("p", 0, 1, 1)}, 0.0), ConfigError);
 }
 
 }  // namespace

@@ -18,9 +18,8 @@
 // than --tolerance percent below the baseline, or when a parity flag
 // (identical resolution folds across kernels/modes) is false.  CI runs
 // this against the committed snapshots on every push.
-#include <cctype>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -29,6 +28,7 @@
 
 #include "harness/kernel_bench.hpp"
 #include "memsim/resolve.hpp"
+#include "serve/jsonv.hpp"
 #include "simcore/json.hpp"
 #include "simcore/thread_pool.hpp"
 
@@ -39,9 +39,9 @@ using namespace nvms;
 constexpr int kSchemaVersion = 1;
 
 // ---------------------------------------------------------------------------
-// Minimal JSON reader: flattens objects into dotted-path -> scalar maps.
-// Only what the snapshot schema needs (objects, numbers, bools, strings);
-// arrays are rejected, which doubles as a schema check.
+// Snapshot reader: json_parse, then objects flattened into dotted-path ->
+// scalar maps.  Arrays and nulls are not part of the snapshot schema and
+// are rejected, which doubles as a schema check.
 
 struct FlatDoc {
   std::map<std::string, double> nums;
@@ -49,101 +49,27 @@ struct FlatDoc {
   std::map<std::string, std::string> strs;
 };
 
-struct Parser {
-  const std::string& s;
-  std::size_t i = 0;
-  std::string err;
-
-  void skip_ws() {
-    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-  }
-  bool fail(const std::string& m) {
-    if (err.empty()) err = m + " at offset " + std::to_string(i);
-    return false;
-  }
-  bool parse_string(std::string* out) {
-    if (s[i] != '"') return fail("expected string");
-    ++i;
-    out->clear();
-    while (i < s.size() && s[i] != '"') {
-      if (s[i] == '\\') {
-        ++i;
-        if (i >= s.size()) return fail("bad escape");
-        switch (s[i]) {
-          case 'n': out->push_back('\n'); break;
-          case 't': out->push_back('\t'); break;
-          default: out->push_back(s[i]); break;
-        }
-      } else {
-        out->push_back(s[i]);
-      }
-      ++i;
-    }
-    if (i >= s.size()) return fail("unterminated string");
-    ++i;
-    return true;
-  }
-  bool parse_value(const std::string& path, FlatDoc* doc) {
-    skip_ws();
-    if (i >= s.size()) return fail("unexpected end");
-    const char c = s[i];
-    if (c == '{') return parse_object(path, doc);
-    if (c == '"') {
-      std::string v;
-      if (!parse_string(&v)) return false;
-      doc->strs[path] = v;
-      return true;
-    }
-    if (std::strncmp(s.c_str() + i, "true", 4) == 0) {
-      doc->bools[path] = true;
-      i += 4;
-      return true;
-    }
-    if (std::strncmp(s.c_str() + i, "false", 5) == 0) {
-      doc->bools[path] = false;
-      i += 5;
-      return true;
-    }
-    if (c == '-' || std::isdigit(static_cast<unsigned char>(c))) {
-      char* end = nullptr;
-      const double v = std::strtod(s.c_str() + i, &end);
-      if (end == s.c_str() + i) return fail("bad number");
-      doc->nums[path] = v;
-      i = static_cast<std::size_t>(end - s.c_str());
-      return true;
-    }
-    return fail("unsupported JSON value (arrays are not part of the schema)");
-  }
-  bool parse_object(const std::string& path, FlatDoc* doc) {
-    ++i;  // '{'
-    skip_ws();
-    if (i < s.size() && s[i] == '}') {
-      ++i;
-      return true;
-    }
-    while (true) {
-      skip_ws();
-      std::string key;
-      if (!parse_string(&key)) return false;
-      skip_ws();
-      if (i >= s.size() || s[i] != ':') return fail("expected ':'");
-      ++i;
-      if (!parse_value(path.empty() ? key : path + "." + key, doc)) {
+bool flatten(const JsonValue& v, const std::string& path, FlatDoc* doc,
+             std::string* err) {
+  if (v.is_object()) {
+    for (const auto& [key, child] : v.members()) {
+      if (!flatten(child, path.empty() ? key : path + "." + key, doc, err)) {
         return false;
       }
-      skip_ws();
-      if (i < s.size() && s[i] == ',') {
-        ++i;
-        continue;
-      }
-      if (i < s.size() && s[i] == '}') {
-        ++i;
-        return true;
-      }
-      return fail("expected ',' or '}'");
     }
+  } else if (v.is_number()) {
+    doc->nums[path] = v.as_number();
+  } else if (v.is_bool()) {
+    doc->bools[path] = v.as_bool();
+  } else if (v.is_string()) {
+    doc->strs[path] = v.as_string();
+  } else {
+    *err = "unsupported JSON value at '" + path +
+           "' (arrays and nulls are not part of the schema)";
+    return false;
   }
-};
+  return true;
+}
 
 bool read_snapshot(const std::string& path, FlatDoc* doc, std::string* err) {
   std::ifstream in(path, std::ios::binary);
@@ -153,11 +79,13 @@ bool read_snapshot(const std::string& path, FlatDoc* doc, std::string* err) {
   }
   std::ostringstream buf;
   buf << in.rdbuf();
-  const std::string text = buf.str();
-  Parser p{text, 0, {}};
-  p.skip_ws();
-  if (!p.parse_value("", doc)) {
-    *err = path + ": " + p.err;
+  const JsonParseResult parsed = json_parse(buf.str());
+  if (!parsed.value) {
+    *err = path + ": " + parsed.error;
+    return false;
+  }
+  if (!flatten(*parsed.value, "", doc, err)) {
+    *err = path + ": " + *err;
     return false;
   }
   return true;
