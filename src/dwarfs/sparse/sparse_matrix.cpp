@@ -91,39 +91,48 @@ SparseLu sparse_lu_factor(const CsrMatrix& a) {
   lu.l.row_ptr.push_back(0);
   lu.u.row_ptr.push_back(0);
 
-  // Dense working row + sorted active-column set for the symbolic part.
+  // Dense working row plus a dense mark per column for the symbolic part:
+  // the row's active columns are the marked ones, visited by scanning the
+  // marks in column order.
   std::vector<double> work(n, 0.0);
   std::vector<double> u_diag(n, 0.0);
+  std::vector<unsigned char> active(n, 0);
 
   for (std::size_t i = 0; i < n; ++i) {
-    // scatter A(i, :)
-    std::set<std::size_t> active;
+    // scatter A(i, :); [lo, hi] bounds the marked columns
+    std::size_t lo = n;
+    std::size_t hi = 0;
+    const auto mark = [&](std::size_t j) {
+      active[j] = 1;
+      lo = std::min(lo, j);
+      hi = std::max(hi, j);
+    };
     for (std::size_t p = a.row_ptr[i]; p < a.row_ptr[i + 1]; ++p) {
       work[a.col_idx[p]] = a.values[p];
-      active.insert(a.col_idx[p]);
+      mark(a.col_idx[p]);
     }
-    // eliminate columns k < i in increasing order (fill-in may extend the
-    // active set beyond A's pattern)
-    for (auto it = active.begin(); it != active.end() && *it < i;) {
-      const std::size_t k = *it;
+    // eliminate columns k < i in increasing order; fill-in only marks
+    // columns j > k, so the scan still reaches them
+    for (std::size_t k = lo; k < i; ++k) {
+      if (active[k] == 0) continue;
       const double pivot = u_diag[k];
       require(std::abs(pivot) > 1e-300, "sparse lu: zero pivot");
       const double lik = work[k] / pivot;
       work[k] = lik;
-      // w -= lik * U(k, j>k)
-      for (std::size_t p = lu.u.row_ptr[k]; p < lu.u.row_ptr[k + 1]; ++p) {
+      // w -= lik * U(k, j>k); U(k, :) starts with its nonzero diagonal,
+      // and marking the columns is the symbolic fill-in
+      const std::size_t end = lu.u.row_ptr[k + 1];
+      for (std::size_t p = lu.u.row_ptr[k] + 1; p < end; ++p) {
         const std::size_t j = lu.u.col_idx[p];
-        if (j <= k) continue;
-        if (work[j] == 0.0 && active.find(j) == active.end()) {
-          active.insert(j);  // symbolic fill-in
-        }
+        active[j] = 1;
         work[j] -= lik * lu.u.values[p];
       }
-      ++it;
-      while (it != active.end() && *it < k) ++it;  // defensive (sorted set)
+      hi = std::max(hi, lu.u.col_idx[end - 1]);
     }
     // gather L(i, <i) and U(i, >=i)
-    for (const std::size_t j : active) {
+    for (std::size_t j = lo; j <= hi; ++j) {
+      if (active[j] == 0) continue;
+      active[j] = 0;
       const double v = work[j];
       work[j] = 0.0;
       if (v == 0.0) continue;

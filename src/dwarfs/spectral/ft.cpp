@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <utility>
+#include <vector>
 
 #include "appfw/result.hpp"
 
@@ -16,56 +18,88 @@ FtParams FtParams::from(const AppConfig& cfg) {
   return p;
 }
 
-void fft1d(std::complex<double>* data, std::size_t n, int sign) {
-  require(n > 0 && (n & (n - 1)) == 0, "fft1d: n must be a power of two");
-  // bit-reversal permutation
-  for (std::size_t i = 1, j = 0; i < n; ++i) {
-    std::size_t bit = n >> 1;
-    for (; j & bit; bit >>= 1) j ^= bit;
-    j ^= bit;
-    if (i < j) std::swap(data[i], data[j]);
-  }
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const double ang =
-        static_cast<double>(sign) * 2.0 * std::numbers::pi /
-        static_cast<double>(len);
-    const std::complex<double> wlen(std::cos(ang), std::sin(ang));
-    for (std::size_t i = 0; i < n; i += len) {
+namespace {
+
+/// One transform length and direction: the bit-reversal swaps and every
+/// stage's twiddles, built once and shared by all lines of an fft3d.  The
+/// twiddles of stage `len` come from the w *= wlen recurrence started at
+/// 1, as the butterflies of each block would compute them, so every
+/// butterfly multiplies by bit-identical factors.
+class FftPlan {
+ public:
+  FftPlan(std::size_t n, int sign) : n_(n) {
+    require(n > 0 && (n & (n - 1)) == 0, "fft1d: n must be a power of two");
+    for (std::size_t i = 1, j = 0; i < n; ++i) {
+      std::size_t bit = n >> 1;
+      for (; j & bit; bit >>= 1) j ^= bit;
+      j ^= bit;
+      if (i < j) swaps_.emplace_back(i, j);
+    }
+    // stage len's len/2 twiddles start at offset len/2 - 1
+    twiddles_.reserve(n - 1);
+    for (std::size_t len = 2; len <= n; len <<= 1) {
+      const double ang =
+          static_cast<double>(sign) * 2.0 * std::numbers::pi /
+          static_cast<double>(len);
+      const std::complex<double> wlen(std::cos(ang), std::sin(ang));
       std::complex<double> w(1.0, 0.0);
       for (std::size_t k = 0; k < len / 2; ++k) {
-        const auto u = data[i + k];
-        const auto v = data[i + k + len / 2] * w;
-        data[i + k] = u + v;
-        data[i + k + len / 2] = u - v;
+        twiddles_.push_back(w);
         w *= wlen;
       }
     }
   }
+
+  void run(std::complex<double>* data) const {
+    for (const auto& [i, j] : swaps_) std::swap(data[i], data[j]);
+    for (std::size_t half = 1; half < n_; half <<= 1) {
+      const std::complex<double>* w = &twiddles_[half - 1];
+      for (std::size_t i = 0; i < n_; i += 2 * half) {
+        for (std::size_t k = 0; k < half; ++k) {
+          const auto u = data[i + k];
+          const auto v = data[i + k + half] * w[k];
+          data[i + k] = u + v;
+          data[i + k + half] = u - v;
+        }
+      }
+    }
+  }
+
+ private:
+  std::size_t n_;
+  std::vector<std::pair<std::size_t, std::size_t>> swaps_;
+  std::vector<std::complex<double>> twiddles_;
+};
+
+}  // namespace
+
+void fft1d(std::complex<double>* data, std::size_t n, int sign) {
+  FftPlan(n, sign).run(data);
 }
 
 void fft3d(std::vector<std::complex<double>>& cube, std::size_t n,
            int sign) {
   require(cube.size() == n * n * n, "fft3d: cube size mismatch");
+  const FftPlan plan(n, sign);
   std::vector<std::complex<double>> line(n);
   const auto idx = [n](std::size_t x, std::size_t y, std::size_t z) {
     return x + n * (y + n * z);
   };
   // x lines (contiguous)
   for (std::size_t z = 0; z < n; ++z)
-    for (std::size_t y = 0; y < n; ++y)
-      fft1d(&cube[idx(0, y, z)], n, sign);
+    for (std::size_t y = 0; y < n; ++y) plan.run(&cube[idx(0, y, z)]);
   // y lines (stride n)
   for (std::size_t z = 0; z < n; ++z)
     for (std::size_t x = 0; x < n; ++x) {
       for (std::size_t y = 0; y < n; ++y) line[y] = cube[idx(x, y, z)];
-      fft1d(line.data(), n, sign);
+      plan.run(line.data());
       for (std::size_t y = 0; y < n; ++y) cube[idx(x, y, z)] = line[y];
     }
   // z lines (stride n*n)
   for (std::size_t y = 0; y < n; ++y)
     for (std::size_t x = 0; x < n; ++x) {
       for (std::size_t z = 0; z < n; ++z) line[z] = cube[idx(x, y, z)];
-      fft1d(line.data(), n, sign);
+      plan.run(line.data());
       for (std::size_t z = 0; z < n; ++z) cube[idx(x, y, z)] = line[z];
     }
 }
@@ -97,13 +131,18 @@ AppResult FtApp::run(AppContext& ctx) const {
 
   std::complex<double> chk{0.0, 0.0};
   std::vector<std::complex<double>> work(real_elems);
+  // evolve's rotation depends on i only through i % kRotations
+  constexpr std::size_t kRotations = 1024;
+  std::vector<std::complex<double>> rotation(kRotations);
   for (int it = 1; it <= p.iterations; ++it) {
     // evolve: u1 = u0 * exp(i * t * k^2) — pointwise, stream both arrays.
-    for (std::size_t i = 0; i < real_elems; ++i) {
+    for (std::size_t q = 0; q < kRotations; ++q) {
       const double phase =
-          1e-6 * static_cast<double>(it) * static_cast<double>(i % 1024);
-      work[i] = host[i] * std::complex<double>(std::cos(phase),
-                                               std::sin(phase));
+          1e-6 * static_cast<double>(it) * static_cast<double>(q);
+      rotation[q] = {std::cos(phase), std::sin(phase)};
+    }
+    for (std::size_t i = 0; i < real_elems; ++i) {
+      work[i] = host[i] * rotation[i % kRotations];
     }
     ctx.run(PhaseBuilder("evolve")
                 .threads(threads)

@@ -293,6 +293,62 @@ TEST(CellList, PeriodicImageInteracts) {
   EXPECT_NEAR(s.acc[0], -s.acc[3], 1e-12);
 }
 
+/// O(N^2) reference for cell_list_forces: every pair once, minimum image,
+/// same softening and cutoff.
+std::vector<double> brute_force_acc(const ParticleSet& s, double cutoff) {
+  const std::size_t n = s.count();
+  std::vector<double> acc(3 * n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      double d[3];
+      double r2 = 1e-4;
+      for (int k = 0; k < 3; ++k) {
+        d[k] = s.pos[3 * j + k] - s.pos[3 * i + k];
+        d[k] -= std::round(d[k]);
+        r2 += d[k] * d[k];
+      }
+      if (r2 > cutoff * cutoff + 1e-4) continue;
+      const double w = 1.0 / (r2 * std::sqrt(r2));
+      for (int k = 0; k < 3; ++k) {
+        acc[3 * i + k] += w * d[k];
+        acc[3 * j + k] -= w * d[k];
+      }
+    }
+  }
+  return acc;
+}
+
+TEST(CellList, MatchesBruteForceAtEveryGridSize) {
+  // Cutoffs 0.4 and 0.6 give grids of 2 and 1 cells per axis, where
+  // several of the 27 neighbour offsets wrap onto the same cell; each
+  // distinct pair must still interact exactly once.
+  for (const double cutoff : {0.1, 0.4, 0.6}) {
+    ParticleSet s = make_particles(300, 11);
+    cell_list_forces(s, cutoff);
+    const std::vector<double> ref = brute_force_acc(s, cutoff);
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      EXPECT_NEAR(s.acc[i], ref[i], 1e-9 * (1.0 + std::abs(ref[i])))
+          << "cutoff " << cutoff << " element " << i;
+    }
+  }
+}
+
+TEST(CellList, TwoParticlesFeelOnePairForceAtLargeCutoffs) {
+  // 0.1 apart along x: one pair force, w * d with r^2 = 0.01 + 1e-4.
+  const double r2 = 0.01 + 1e-4;
+  const double inv_r = 1.0 / std::sqrt(r2);
+  const double pair = inv_r * inv_r * inv_r * 0.1;
+  for (const double cutoff : {0.1 + 1e-9, 0.4, 0.6}) {
+    ParticleSet s;
+    s.pos = {0.3, 0.5, 0.5, 0.4, 0.5, 0.5};
+    s.vel.assign(6, 0.0);
+    s.acc.assign(6, 0.0);
+    cell_list_forces(s, cutoff);
+    EXPECT_NEAR(s.acc[0], pair, 1e-9 * pair) << "cutoff " << cutoff;
+    EXPECT_NEAR(s.acc[3], -pair, 1e-9 * pair) << "cutoff " << cutoff;
+  }
+}
+
 // ---------- Lagrangian hydro --------------------------------------------
 
 TEST(Hydro, EnergyApproximatelyConserved) {

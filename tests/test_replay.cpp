@@ -2,6 +2,9 @@
 // round-trips, replay equivalence, and cross-configuration what-ifs.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "harness/registry.hpp"
 #include "replay/recording.hpp"
 #include "simcore/units.hpp"
@@ -208,6 +211,61 @@ TEST(Replay, LoadReportsWhatIsMalformed) {
   expect_load_error(
       "nvmstrace v1\nphase p 4 0 1 8 1 1\nphase q 4 0 1 8 1 1\n",
       "phase while streams pending");
+}
+
+TEST(Replay, LoadNamesTheLineFieldAndValueOfABadNumber) {
+  const std::string head = "nvmstrace v1\nbuffer b 100 auto\n";
+  const auto phase = [&](const std::string& fields) {
+    return head + "phase p " + fields + "\nstream 0 100 seq read 64 1 64\n";
+  };
+  const auto stream = [&](const std::string& fields) {
+    return head + "phase p 4 0 1 8 1 1\nstream " + fields + "\n";
+  };
+  expect_load_error(phase("4 nan 1 8 1 1"),
+                    "line 3: field `flops`: bad value `nan`");
+  expect_load_error(phase("4 0 inf 8 1 1"),
+                    "line 3: field `parallel_fraction`: bad value `inf`");
+  expect_load_error(phase("4 0 1 -inf 1 1"),
+                    "line 3: field `mlp`: bad value `-inf`");
+  expect_load_error(phase("4 0 1 8 nan 1"),
+                    "line 3: field `overlap`: bad value `nan`");
+  expect_load_error(phase("0 0 1 8 1 1"),
+                    "line 3: field `threads`: bad value `0`");
+  expect_load_error(phase("-2 0 1 8 1 1"),
+                    "line 3: field `threads`: bad value `-2`");
+  expect_load_error(phase("4 0 1 8 1 -1"),
+                    "line 3: field `streams`: bad value `-1`");
+  expect_load_error(stream("0 1e30 seq read 64 1 64"),
+                    "line 4: field `bytes`: bad value `1e30`");
+  expect_load_error(stream("0 99999999999999999999 seq read 64 1 64"),
+                    "line 4: field `bytes`: bad value `99999999999999999999`");
+  expect_load_error(stream("-1 100 seq read 64 1 64"),
+                    "line 4: field `buffer`: bad value `-1`");
+  expect_load_error(stream("0 100 seq read 64 -5 64"),
+                    "line 4: field `reuse`: bad value `-5`");
+  expect_load_error(stream("0 100 seq read 64 0 64"),
+                    "line 4: field `reuse`: bad value `0`");
+  expect_load_error(stream("0 100 seq read 0 1 64"),
+                    "line 4: field `granule`: bad value `0`");
+  expect_load_error(stream("0 100 seq read 64 1 0"),
+                    "line 4: field `reuse_block`: bad value `0`");
+  expect_load_error(head + "buffer c -100 auto\n",
+                    "line 3: field `bytes`: bad value `-100`");
+  // A short line is still "truncated", and says which line.
+  expect_load_error(stream("0 100 seq read 64 1"),
+                    "line 4: truncated stream line");
+}
+
+TEST(Replay, BaselineTraceRoundTripsThroughSaveAndLoad) {
+  std::ifstream in(std::string(NVMS_SOURCE_DIR) +
+                   "/bench/baselines/hypre-uncached.trace");
+  ASSERT_TRUE(in.good());
+  std::stringstream buf;
+  buf << in.rdbuf();
+  const PhaseRecording rec = PhaseRecording::load(buf.str());
+  EXPECT_FALSE(rec.empty());
+  EXPECT_EQ(rec.save(), buf.str());
+  EXPECT_EQ(PhaseRecording::load(rec.save()).save(), buf.str());
 }
 
 TEST(Replay, SaveRejectsNamesWithWhitespace) {
