@@ -82,19 +82,23 @@ void BM_ResolveCache(benchmark::State& state) {
   lanes[1].dem.add(Pattern::kSequential, Dir::kRead, 54 * GiB);
   lanes[1].dem.add(Pattern::kSequential, Dir::kWrite, 33 * GiB);
   ResolveCache cache(1);
+  ResolveScratch scratch;
+  ResolveKey key;
+  MultiResolution out;
   if (state.range(0) != 0) {
     // Prime the single entry; every timed iteration is a hit.
-    benchmark::DoNotOptimize(
-        cache.resolve(p, lanes, cpu, 0.0, 0.0, nullptr, 0.0));
+    cache.resolve_into(p, lanes, cpu, 0.0, 0.0, nullptr, 0.0, &scratch, &key,
+                       &out);
   }
   for (auto _ : state) {
     if (state.range(0) != 0) {
-      benchmark::DoNotOptimize(
-          cache.resolve(p, lanes, cpu, 0.0, 0.0, nullptr, 0.0));
+      cache.resolve_into(p, lanes, cpu, 0.0, 0.0, nullptr, 0.0, &scratch,
+                         &key, &out);
     } else {
-      benchmark::DoNotOptimize(
-          resolve_lanes(p, lanes, cpu, 0.0, 0.0, nullptr, 0.0));
+      resolve_lanes_into(p, lanes, cpu, 0.0, 0.0, nullptr, 0.0, &scratch,
+                         &out);
     }
+    benchmark::DoNotOptimize(out.time);
   }
   state.SetLabel(state.range(0) != 0 ? "hit" : "fixed-point");
 }

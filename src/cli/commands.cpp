@@ -61,9 +61,9 @@ constexpr OptionSpec kIntraJobs = {
     .help = "kernel lanes, auto = share the cores", .def = "1"};
 constexpr OptionSpec kResolveCache = {
     .name = "resolve-cache", .kind = OptKind::kEnum,
-    .help = "memoize phase resolutions", .def = "off",
-    .choices = "off|run|shared", .bare = "shared",
-    .bad = "unknown --resolve-cache mode '{}' (want off|run|shared)"};
+    .help = "memoize across sweep cells or daemon requests", .def = "off",
+    .choices = "off|shared", .bare = "shared",
+    .bad = "unknown --resolve-cache mode '{}' (want off|shared)"};
 constexpr OptionSpec kTraceOut = path("trace-out", "write a Chrome trace");
 constexpr OptionSpec kMetricsOut =
     path("metrics-out", "write per-epoch metric streams as CSV");

@@ -72,36 +72,27 @@ void report_cache_line(const char* what, const ResolveCacheStats& s,
   err << buf << "\n";
 }
 
+// Quiet when no cache served the command (off, or a lone run outside a
+// daemon); the stream memo only sees Memory-mode cells.
 void report_cache_stats(const ResolveCacheStats& phases,
                         const ResolveCacheStats& streams,
                         std::ostream& err) {
-  report_cache_line("resolve-cache", phases, err);
-  // The stream memo only sees Memory-mode cells; stay quiet otherwise.
+  if (phases.hits + phases.misses > 0) {
+    report_cache_line("resolve-cache", phases, err);
+  }
   if (streams.hits + streams.misses > 0) {
     report_cache_line("stream-memo", streams, err);
   }
 }
 
-// The resolve cache of one run.  A single one-shot run has nothing to
-// share across: both non-off modes are one private cache in `local`,
-// reused across the run's phases.  Under a daemon, shared mode instead
-// borrows the process-lifetime cache so the next request over the same
-// app starts warm.
-ResolveCache* run_cache(ResolveCacheMode mode, const CommandContext* ctx,
-                        std::optional<ResolveCache>& local) {
-  if (mode == ResolveCacheMode::kShared && ctx != nullptr &&
-      ctx->shared_cache != nullptr) {
-    return ctx->shared_cache;
-  }
-  if (mode == ResolveCacheMode::kOff) return nullptr;
-  local.emplace(/*shards=*/1);
-  // Private cache: stream-memo keys chain a monotonic history digest, so
-  // this run can never hit its own stream inserts — skip them (the phase
-  // memo keeps inserting; its keys recur across epochs).  The daemon's
-  // shared cache above is exempt: an identical later request replays the
-  // same digest trajectory and hits.
-  local->streams().set_insert_bypass(true);
-  return &*local;
+// The caller-owned resolve cache a command borrows: only the daemon's
+// process-lifetime cache, so the next request over the same app starts
+// warm.  Outside a daemon a one-shot run has nothing to share with and
+// runs uncached; only a multi-cell sweep grid memoizes (run_sweep).
+ResolveCache* run_cache(ResolveCacheMode mode, const CommandContext* ctx) {
+  return mode == ResolveCacheMode::kShared && ctx != nullptr
+             ? ctx->shared_cache
+             : nullptr;
 }
 
 AppConfig config_from(const CommandArgs& a) {
@@ -178,8 +169,7 @@ int cmd_run(const CommandArgs& a, std::ostream& out, std::ostream& err,
   const std::string metrics_out = a.text("metrics-out");
   Telemetry telemetry;
   const bool want_telemetry = !trace_out.empty() || !metrics_out.empty();
-  std::optional<ResolveCache> cache;
-  ResolveCache* use_cache = run_cache(*cache_mode, ctx, cache);
+  ResolveCache* use_cache = run_cache(*cache_mode, ctx);
   const AppResult r = run_app_on(
       app, sys_cfg, cfg, want_telemetry ? &telemetry : nullptr, use_cache);
   if (use_cache != nullptr) {
@@ -267,18 +257,14 @@ int cmd_sweep(const CommandArgs& a, std::ostream& out, std::ostream& err,
   const auto cache_mode = cache_mode_of(a);
   if (!cache_mode) return 2;
   spec.resolve_cache = *cache_mode;
-  if (*cache_mode == ResolveCacheMode::kShared && ctx != nullptr) {
-    spec.external_cache = ctx->shared_cache;
-  }
+  spec.external_cache = run_cache(*cache_mode, ctx);
   const std::string trace_out = a.text("trace-out");
   const std::string metrics_out = a.text("metrics-out");
   const std::string jsonl_out = a.text("jsonl");
   spec.telemetry =
       !trace_out.empty() || !metrics_out.empty() || !jsonl_out.empty();
   const auto result = run_sweep(spec);
-  if (spec.resolve_cache != ResolveCacheMode::kOff) {
-    report_cache_stats(result.cache_stats, result.stream_stats, err);
-  }
+  report_cache_stats(result.cache_stats, result.stream_stats, err);
 
   if (!trace_out.empty() &&
       !write_file(trace_out, sweep_chrome_trace(result), err, "sweep")) {
@@ -548,10 +534,11 @@ int cmd_replay(const CommandArgs& a, std::ostream& out, std::ostream& err) {
 
 // Resolve an `explain`/`diff` target — a saved `nvmstrace v1` recording
 // or a registered application name — into a RunProfile.  The app form
-// routes through run_sweep (a 1-cell grid honoring --jobs and
-// --resolve-cache), so the profile is grid-order deterministic: output is
-// byte-identical for any jobs count and any resolve-cache mode.  The
-// trace form replays the recording once with telemetry attached.
+// routes through run_sweep (a 1-cell grid honoring --jobs), so the
+// profile is grid-order deterministic: output is byte-identical for any
+// jobs count and any resolve-cache mode.  The trace form replays the
+// recording once with telemetry attached.  Either form consults a cache
+// only under a daemon (run_cache).
 std::optional<RunProfile> profile_of_target(const std::string& target,
                                             const CommandArgs& a,
                                             std::ostream& err,
@@ -575,8 +562,7 @@ std::optional<RunProfile> profile_of_target(const std::string& target,
     MemorySystem sys(sys_cfg);
     Telemetry telemetry;
     sys.set_telemetry(&telemetry);
-    std::optional<ResolveCache> cache;
-    sys.set_resolve_cache(run_cache(*cache_mode, ctx, cache));
+    sys.set_resolve_cache(run_cache(*cache_mode, ctx));
     (void)rec.replay(sys);
     return build_run_profile(telemetry, analyze_context(sys_cfg, target));
   }
@@ -595,9 +581,7 @@ std::optional<RunProfile> profile_of_target(const std::string& target,
   spec.intra_jobs = *intra;
   spec.telemetry = true;
   spec.resolve_cache = *cache_mode;
-  if (*cache_mode == ResolveCacheMode::kShared && ctx != nullptr) {
-    spec.external_cache = ctx->shared_cache;
-  }
+  spec.external_cache = run_cache(*cache_mode, ctx);
   const auto result = run_sweep(spec);
   if (result.rows.empty()) {
     err << cmd << ": configuration skipped"

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdio>
 #include <exception>
-#include <optional>
 
 #include "harness/registry.hpp"
 #include "simcore/error.hpp"
@@ -119,18 +118,11 @@ std::vector<ExperimentOutcome> run_experiments(
       if (tasks[i].telemetry) {
         outcomes[i].telemetry = std::make_shared<Telemetry>();
       }
-      // A private cache lives on this worker's stack for the task's
-      // duration; a shared one is borrowed from the caller.
-      std::optional<ResolveCache> priv;
-      ResolveCache* cache = tasks[i].resolve_cache;
-      if (cache == nullptr && tasks[i].private_resolve_cache) {
-        cache = &priv.emplace(/*shards=*/1);
-      }
       SystemConfig sys = tasks[i].sys;
       if (sys.intra_jobs == 0) sys.intra_jobs = auto_intra;
       outcomes[i].result =
           run_app_on(tasks[i].app, sys, tasks[i].cfg,
-                     outcomes[i].telemetry.get(), cache);
+                     outcomes[i].telemetry.get(), tasks[i].resolve_cache);
     } catch (const CapacityError& e) {
       outcomes[i].skipped = true;
       outcomes[i].skip_reason = e.what();

@@ -51,9 +51,6 @@ struct ExperimentConfig {
   /// instance may back every task of a batch; results and telemetry stay
   /// byte-identical regardless (memsim/resolve_cache.hpp).
   ResolveCache* resolve_cache = nullptr;
-  /// Give this task a private single-shard cache instead (reuse across the
-  /// task's own phases only).  Mutually exclusive with `resolve_cache`.
-  bool private_resolve_cache = false;
 };
 
 /// Per-task observability record.

@@ -70,21 +70,17 @@ struct ReplayResult {
 };
 
 /// Replay `corpora` through fresh systems `repeat` times each, timed as
-/// one loop.  `cache_mode` attaches a per-replay ResolveCache (kPerRun /
-/// kShared measure the memoized hot path; kOff measures the raw kernels).
-/// `intra_jobs` is forwarded to every replayed system
+/// one loop.  kShared attaches one ResolveCache per repetition, shared by
+/// every corpus of it (the memoized hot path); kOff measures the raw
+/// kernels.  `intra_jobs` is forwarded to every replayed system
 /// (SystemConfig::intra_jobs: 1 = serial kernel, N = N lanes) — the
 /// replayed results are byte-identical for any width, so the ratio of two
-/// replays is pure kernel scaling.  `stream_insert_bypass` skips
-/// stream-memo inserts on the replay caches (a fresh system per corpus
-/// cannot re-hit its own stream inserts; benches pass true so the
-/// measured memo behaviour matches the CLI's one-shot configuration).
+/// replays is pure kernel scaling.
 ReplayResult replay_corpora(const std::vector<PhaseCorpus>& corpora,
                             int repeat,
                             ResolveCacheMode cache_mode =
                                 ResolveCacheMode::kOff,
-                            int intra_jobs = 1,
-                            bool stream_insert_bypass = true);
+                            int intra_jobs = 1);
 
 /// Host seconds per calibration unit: one pass of a fixed integer spin
 /// loop (FNV-1a folds, compile-time constant trip count).  Median of

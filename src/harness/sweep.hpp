@@ -40,13 +40,14 @@ struct SweepSpec {
   /// grid order, so they too are byte-identical for any jobs count.
   bool telemetry = false;
   /// Phase-resolution memoization for the grid (resolve_cache.hpp):
-  /// kShared gives every cell one striped cache (one shard per worker),
-  /// kPerRun a private cache per cell.  Either way rows and exports are
-  /// byte-identical to kOff — only the wall clock changes.
+  /// kShared gives every cell of a grid of two or more cells one striped
+  /// cache (one shard per worker); a 1-cell grid has nothing to share and
+  /// runs uncached.  Either way rows and exports are byte-identical to
+  /// kOff — only the wall clock changes.
   ResolveCacheMode resolve_cache = ResolveCacheMode::kOff;
   /// With kShared, a caller-owned cache to use instead of a grid-local
-  /// one — how nvmsimd keeps one process-lifetime cache warm across
-  /// requests.  Ignored for kOff/kPerRun.  The reported cache statistics
+  /// one, at any grid size — how nvmsimd keeps one process-lifetime cache
+  /// warm across requests.  Ignored for kOff.  The reported cache statistics
   /// are then the external cache's cumulative totals, but rows and
   /// exports remain byte-identical (memoization is semantically
   /// transparent).  Must outlive run_sweep.
@@ -85,8 +86,8 @@ struct SweepResult {
   /// `telemetry` keep the parts' pointees alive.
   std::vector<std::shared_ptr<Telemetry>> telemetry;
   std::vector<std::string> telemetry_labels;
-  /// Resolve-cache statistics for the grid (all zero when the spec ran
-  /// with ResolveCacheMode::kOff; per-cell caches are aggregated).
+  /// Resolve-cache statistics for the grid (all zero when no cache served
+  /// it: ResolveCacheMode::kOff, or a 1-cell grid without a caller cache).
   ResolveCacheStats cache_stats;
   /// DRAM-cache stream-memo statistics (nonzero only for Memory-mode
   /// cells; the sampler walks dominate those cells' wall clock).

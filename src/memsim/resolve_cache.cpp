@@ -13,8 +13,6 @@ const char* to_string(ResolveCacheMode m) {
   switch (m) {
     case ResolveCacheMode::kOff:
       return "off";
-    case ResolveCacheMode::kPerRun:
-      return "run";
     case ResolveCacheMode::kShared:
       return "shared";
   }
@@ -24,7 +22,6 @@ const char* to_string(ResolveCacheMode m) {
 std::optional<ResolveCacheMode> parse_resolve_cache_mode(
     const std::string& s) {
   if (s == "off") return ResolveCacheMode::kOff;
-  if (s == "run") return ResolveCacheMode::kPerRun;
   if (s == "shared") return ResolveCacheMode::kShared;
   return std::nullopt;
 }
@@ -161,36 +158,6 @@ void make_resolve_key_into(const Phase& phase,
                                               : nullptr));
     if (lane.dev != nullptr) add_device(key, *lane.dev);
   }
-}
-
-MultiResolution ResolveCache::resolve(const Phase& phase,
-                                      const std::vector<LaneDemand>& lanes,
-                                      const CpuParams& cpu,
-                                      double upi_bytes, double upi_bw,
-                                      EpochProbe* probe, double epoch_t) {
-  const ResolveKey key =
-      make_resolve_key(phase, lanes, cpu, upi_bytes, upi_bw);
-  CachedResolution cached;
-  if (lookup(key, &cached)) {
-    // Replay the recorded epoch samples re-stamped at the current virtual
-    // time — identical stream to what resolve_lanes() would emit now.
-    if (probe != nullptr) {
-      for (const auto& sample : cached.samples) {
-        probe->epoch_sample(sample.name, sample.device, epoch_t,
-                            sample.value);
-      }
-    }
-    return std::move(cached.multi);
-  }
-  // Miss: run the fixed point once, recording its samples even when no
-  // probe is attached — a later hit may have telemetry and must still see
-  // the full stream (the byte-identical-replay invariant).
-  RecordingProbe recorder(probe);
-  MultiResolution multi =
-      resolve_lanes(phase, lanes, cpu, upi_bytes, upi_bw, &recorder,
-                    epoch_t);
-  insert(key, CachedResolution{multi, recorder.take()});
-  return multi;
 }
 
 void ResolveCache::resolve_into(const Phase& phase,

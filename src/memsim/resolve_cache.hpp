@@ -25,6 +25,12 @@
 // trace and metrics exports are byte-identical between cache-off and
 // cache-on runs at any worker count (asserted by tests/test_resolve_cache).
 //
+// Scope: a cache exists only where two or more runs consult it — the
+// grid of a multi-cell sweep, nvmsimd's process-lifetime cache, and the
+// placement evaluator's replay fallback.  A lone run resolves uncached:
+// a private cache measured no gain, and its stream-memo keys chain a
+// history that never repeats within the run.
+//
 // Concurrency: the cache is mutex-striped over N shards (default: one per
 // executor worker) keyed by the upper hash bits, so one shared instance
 // serves the whole experiment grid with minimal contention.  Values are
@@ -32,7 +38,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -51,13 +56,13 @@ namespace nvms {
 
 /// How phase-resolution memoization is applied to a run or sweep.
 ///   * kOff    — always run the fixed point (the baseline).
-///   * kPerRun — every experiment gets its own private cache (reuse
-///               across a run's iterations, nothing shared between tasks).
-///   * kShared — one mutex-striped cache serves the whole experiment grid.
-enum class ResolveCacheMode { kOff, kPerRun, kShared };
+///   * kShared — one mutex-striped cache serves every run that can
+///               consult it: the cells of a multi-cell sweep grid, or the
+///               requests of a daemon (see "Scope" above).
+enum class ResolveCacheMode { kOff, kShared };
 
 const char* to_string(ResolveCacheMode m);
-/// Parse "off" | "run" | "shared"; nullopt on anything else.
+/// Parse "off" | "shared"; nullopt on anything else.
 std::optional<ResolveCacheMode> parse_resolve_cache_mode(
     const std::string& s);
 
@@ -132,10 +137,6 @@ struct ResolveCacheStats {
   std::uint64_t misses = 0;
   std::uint64_t evictions = 0;
   std::size_t entries = 0;
-  /// Inserts skipped under set_insert_bypass(true) — misses whose keys
-  /// provably cannot recur, so storing them would only burn memory and
-  /// eviction slots.
-  std::uint64_t bypassed = 0;
 
   double hit_rate() const {
     const double total = static_cast<double>(hits + misses);
@@ -205,25 +206,7 @@ class ShardedMemo {
     return true;
   }
 
-  /// Skip future insert()s (lookups unaffected).  For memos whose keys
-  /// cannot recur within the owner's lifetime — the DRAM-cache stream
-  /// memo keys chain a monotonic history digest, so a single-cell sweep
-  /// or a one-shot run can never look one of its own inserts up again —
-  /// storing the values only displaces entries that could still hit.
-  /// Bypass never changes any byte: a prevented hit just recomputes the
-  /// identical pure value.
-  void set_insert_bypass(bool on) {
-    insert_bypass_.store(on, std::memory_order_relaxed);
-  }
-
   void insert(const ResolveKey& key, Value value) {
-    if (insert_bypass_.load(std::memory_order_relaxed)) {
-      // Monotonic tally only; deliberately outside the shard invariants
-      // (entries + evictions <= misses still holds — a bypassed insert
-      // contributes its miss and nothing else).
-      bypassed_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
     Shard& s = shard_for(key);
     std::lock_guard<std::mutex> lock(s.mu);
     const auto [it, inserted] = s.map.try_emplace(key, std::move(value));
@@ -261,7 +244,6 @@ class ShardedMemo {
       out.evictions += s.evictions;
       out.entries += s.map.size();
     }
-    out.bypassed = bypassed_.load(std::memory_order_relaxed);
     return out;
   }
 
@@ -278,7 +260,6 @@ class ShardedMemo {
     m.set(m.gauge(prefix + ".evictions"), static_cast<double>(s.evictions));
     m.set(m.gauge(prefix + ".entries"), static_cast<double>(s.entries));
     m.set(m.gauge(prefix + ".hit_rate"), s.hit_rate());
-    m.set(m.gauge(prefix + ".bypass"), static_cast<double>(s.bypassed));
   }
 
   /// Drop every entry (statistics are kept).
@@ -317,8 +298,6 @@ class ShardedMemo {
 
   mutable std::vector<Shard> shards_;
   std::size_t max_entries_per_shard_ = 1;
-  std::atomic<bool> insert_bypass_{false};
-  mutable std::atomic<std::uint64_t> bypassed_{0};
 };
 
 /// The one cache object plumbed through executor/sweep/CLI: the phase-
@@ -330,21 +309,13 @@ class ResolveCache : public ShardedMemo<CachedResolution> {
                         std::size_t max_entries = kDefaultMaxEntries)
       : ShardedMemo(shards, max_entries), streams_(shards, max_entries) {}
 
-  /// Memoized drop-in for resolve_lanes(): on a miss, runs the fixed
-  /// point (recording its epoch samples) and caches the result; on a hit,
-  /// replays the cached samples into `probe` stamped at `epoch_t` and
-  /// returns the cached resolution.  Bit-identical to calling
-  /// resolve_lanes() directly, including the telemetry stream.
-  MultiResolution resolve(const Phase& phase,
-                          const std::vector<LaneDemand>& lanes,
-                          const CpuParams& cpu, double upi_bytes,
-                          double upi_bw, EpochProbe* probe, double epoch_t);
-
-  /// Allocation-free variant for the epoch hot path: the key is rebuilt
-  /// into `*key` (capacity reused), a hit copies the cached resolution
-  /// into `out->lanes`' existing storage under the shard lock, and a miss
-  /// runs the SoA fixed point on `*scratch` via resolve_lanes_into().
-  /// Same results and telemetry stream as resolve(), byte for byte.
+  /// Memoized drop-in for resolve_lanes_into(): on a miss, runs the SoA
+  /// fixed point on `*scratch` (recording its epoch samples) and caches
+  /// the result; on a hit, copies the cached resolution into `out->lanes`'
+  /// existing storage under the shard lock and replays the cached samples
+  /// into `probe` stamped at `epoch_t`.  The key is rebuilt into `*key`
+  /// (capacity reused), so the epoch hot path stays allocation-free.
+  /// Bit-identical to resolving directly, including the telemetry stream.
   void resolve_into(const Phase& phase, const std::vector<LaneDemand>& lanes,
                     const CpuParams& cpu, double upi_bytes, double upi_bw,
                     EpochProbe* probe, double epoch_t,

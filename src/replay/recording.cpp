@@ -5,6 +5,7 @@
 #include <charconv>
 #include <cmath>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 #include <string_view>
 #include <system_error>
@@ -74,14 +75,16 @@ class TraceLine {
     return v;
   }
 
-  /// A finite floating-point field.
-  double real(std::size_t field, const char* name) const {
+  /// A finite floating-point field within [lo, hi].
+  double real(std::size_t field, const char* name,
+              double lo = -std::numeric_limits<double>::max(),
+              double hi = std::numeric_limits<double>::max()) const {
     const std::string_view tok = text(field);
     double v = 0.0;
     const auto [end, ec] =
         std::from_chars(tok.data(), tok.data() + tok.size(), v);
     if (ec != std::errc() || end != tok.data() + tok.size() ||
-        !std::isfinite(v)) {
+        !std::isfinite(v) || v < lo || v > hi) {
       bad_value(name, tok);
     }
     return v;
@@ -204,10 +207,10 @@ PhaseRecording PhaseRecording::load(const std::string& text) {
       Phase p;
       p.name = std::string(l.text(0));
       p.threads = l.count<int>(1, "threads", 1);
-      p.flops = l.real(2, "flops");
-      p.parallel_fraction = l.real(3, "parallel_fraction");
+      p.flops = l.real(2, "flops", 0.0);
+      p.parallel_fraction = l.real(3, "parallel_fraction", 0.0, 1.0);
       p.mlp = l.real(4, "mlp");
-      p.overlap = l.real(5, "overlap");
+      p.overlap = l.real(5, "overlap", 0.0, 1.0);
       pending_streams = l.count<std::size_t>(6, "streams");
       rec.phases.push_back(std::move(p));
     } else if (l.keyword() == "stream") {

@@ -185,11 +185,6 @@ struct Daemon::Impl {
   std::string metrics_text() {
     std::lock_guard<std::mutex> lock(metrics_mu);
     cache.publish(tel.metrics());
-    // Stream-memo inserts skipped because a one-shot working set cannot
-    // repeat (satellite of the lane-sharding work).  publish() refreshes
-    // the same gauge; this spells the registered name out.
-    tel.metrics().set(tel.metrics().gauge("resolve_cache.bypass"),
-                      static_cast<double>(cache.stats().bypassed));
     tel.metrics().set(id_intra_leased,
                       static_cast<double>(IntraBudget::global().in_use()));
     return prometheus_text(tel, "nvmsimd");
@@ -211,7 +206,6 @@ struct Daemon::Impl {
           .set("misses", s.misses)
           .set("evictions", s.evictions)
           .set("entries", static_cast<std::uint64_t>(s.entries))
-          .set("bypassed", s.bypassed)
           .set("hit_rate", s.hit_rate());
       return c;
     };

@@ -371,7 +371,7 @@ TEST(CliDeterminism, ExplainIsByteIdenticalAcrossJobsAndResolveCache) {
   std::string reference;
   bool first = true;
   for (const char* jobs : {"1", "8"}) {
-    for (const char* rc : {"off", "run", "shared"}) {
+    for (const char* rc : {"off", "shared"}) {
       std::string out;
       ASSERT_EQ(run_cli({"explain", "hypre", "--mode", "uncached-nvm",
                          "--scale", "0.25", "--format", "json", "--jobs",
@@ -394,7 +394,7 @@ TEST(CliDeterminism, DiffIsByteIdenticalAcrossJobsAndResolveCache) {
   std::string reference;
   bool first = true;
   for (const char* jobs : {"1", "8"}) {
-    for (const char* rc : {"off", "run", "shared"}) {
+    for (const char* rc : {"off", "shared"}) {
       std::string out;
       ASSERT_EQ(run_cli({"diff", "scalapack", "scalapack", "--mode-a",
                          "cached-nvm", "--mode-b", "uncached-nvm", "--scale",

@@ -175,6 +175,24 @@ TEST(Cli, RunProducesReport) {
   EXPECT_NE(out.find("uncached-nvm"), std::string::npos);
 }
 
+TEST(Cli, OneShotSharedRunIsUncachedAndByteIdentical) {
+  // A lone run outside a daemon has nothing to share a cache with: the
+  // shared flag must neither change stdout nor print cache statistics.
+  const std::vector<std::string> base = {"run", "xsbench", "--mode",
+                                         "cached-nvm", "--json"};
+  std::string off, shared, err;
+  auto with = [&](const char* rc) {
+    auto args = base;
+    args.insert(args.end(), {"--resolve-cache", rc});
+    return args;
+  };
+  ASSERT_EQ(run_cli(with("off"), &off), 0);
+  ASSERT_EQ(run_cli(with("shared"), &shared, &err), 0);
+  EXPECT_FALSE(off.empty());
+  EXPECT_EQ(shared, off);
+  EXPECT_EQ(err.find("resolve-cache:"), std::string::npos) << err;
+}
+
 TEST(Cli, RunWritesTraceCsv) {
   const std::string path = "/tmp/nvms_cli_test_trace.csv";
   std::remove(path.c_str());
@@ -434,6 +452,7 @@ TEST(Cli, MalformedInputsAreUsageErrorsAcrossAllCommands) {
       {{"sweep", "hacc", "--modes", "weird"}, "unknown mode"},
       {{"sweep", "hacc", "--jobs", "2x"}, "--jobs"},
       {{"sweep", "hacc", "--resolve-cache", "sometimes"}, "--resolve-cache"},
+      {{"sweep", "hacc", "--resolve-cache", "run"}, "off|shared"},
       {{"run", "hacc", "--threads", "1.5"}, "--threads"},
       {{"run", "hacc", "--threads", "10xyz"}, "--threads"},
       {{"run", "hacc", "--scale", "1.5q"}, "--scale"},

@@ -229,6 +229,17 @@ TEST(Replay, LoadNamesTheLineFieldAndValueOfABadNumber) {
                     "line 3: field `mlp`: bad value `-inf`");
   expect_load_error(phase("4 0 1 8 nan 1"),
                     "line 3: field `overlap`: bad value `nan`");
+  // Out of range: flops below zero, fractions outside [0,1].
+  expect_load_error(phase("4 -3e13 1 8 1 1"),
+                    "line 3: field `flops`: bad value `-3e13`");
+  expect_load_error(phase("4 0 1.5 8 1 1"),
+                    "line 3: field `parallel_fraction`: bad value `1.5`");
+  expect_load_error(phase("4 0 -0.1 8 1 1"),
+                    "line 3: field `parallel_fraction`: bad value `-0.1`");
+  expect_load_error(phase("4 0 1 8 2 1"),
+                    "line 3: field `overlap`: bad value `2`");
+  expect_load_error(phase("4 0 1 8 -1e-9 1"),
+                    "line 3: field `overlap`: bad value `-1e-9`");
   expect_load_error(phase("0 0 1 8 1 1"),
                     "line 3: field `threads`: bad value `0`");
   expect_load_error(phase("-2 0 1 8 1 1"),

@@ -55,10 +55,24 @@ struct CaptureProbe final : EpochProbe {
   }
 };
 
+/// One memoized resolution through ResolveCache::resolve_into, returned
+/// by value so miss and hit results can be compared side by side.
+MultiResolution resolve_via(ResolveCache& cache, const Phase& p,
+                            const std::vector<LaneDemand>& lanes,
+                            const CpuParams& cpu, EpochProbe* probe,
+                            double epoch_t) {
+  ResolveScratch scratch;
+  ResolveKey key;
+  MultiResolution out;
+  cache.resolve_into(p, lanes, cpu, 0.0, 0.0, probe, epoch_t, &scratch, &key,
+                     &out);
+  return out;
+}
+
 TEST(ResolveCacheMode, Parsing) {
   EXPECT_EQ(parse_resolve_cache_mode("off"), ResolveCacheMode::kOff);
-  EXPECT_EQ(parse_resolve_cache_mode("run"), ResolveCacheMode::kPerRun);
   EXPECT_EQ(parse_resolve_cache_mode("shared"), ResolveCacheMode::kShared);
+  EXPECT_FALSE(parse_resolve_cache_mode("run").has_value());
   EXPECT_FALSE(parse_resolve_cache_mode("ON").has_value());
   EXPECT_FALSE(parse_resolve_cache_mode("").has_value());
   EXPECT_STREQ(to_string(ResolveCacheMode::kShared), "shared");
@@ -127,9 +141,8 @@ TEST(ResolveCache, HitReturnsTheResolvedValue) {
 
   ResolveCache cache(2);
   const MultiResolution miss =
-      cache.resolve(p, lanes, cpu, 0.0, 0.0, nullptr, 0.0);
-  const MultiResolution hit =
-      cache.resolve(p, lanes, cpu, 0.0, 0.0, nullptr, 1.5);
+      resolve_via(cache, p, lanes, cpu, nullptr, 0.0);
+  const MultiResolution hit = resolve_via(cache, p, lanes, cpu, nullptr, 1.5);
   for (const MultiResolution* r : {&miss, &hit}) {
     EXPECT_DOUBLE_EQ(r->time, direct.time);
     EXPECT_DOUBLE_EQ(r->compute_time, direct.compute_time);
@@ -162,9 +175,9 @@ TEST(ResolveCache, HitReplaysTheExactTelemetryStream) {
   resolve_lanes(p, lanes, cpu, 0.0, 0.0, &expected, 2.25);
 
   ResolveCache cache(1);
-  (void)cache.resolve(p, lanes, cpu, 0.0, 0.0, nullptr, 0.0);  // probeless
+  (void)resolve_via(cache, p, lanes, cpu, nullptr, 0.0);  // probeless
   CaptureProbe replayed;
-  (void)cache.resolve(p, lanes, cpu, 0.0, 0.0, &replayed, 2.25);
+  (void)resolve_via(cache, p, lanes, cpu, &replayed, 2.25);
 
   ASSERT_EQ(replayed.samples.size(), expected.samples.size());
   ASSERT_GT(expected.samples.size(), 0u);
@@ -184,7 +197,7 @@ TEST(ResolveCache, EvictionKeepsTheCacheBounded) {
   for (int i = 0; i < 16; ++i) {
     const auto lanes =
         make_lanes(dram, nvm, 1 * MiB * static_cast<std::uint64_t>(i + 1));
-    (void)cache.resolve(make_phase("p"), lanes, cpu, 0.0, 0.0, nullptr, 0.0);
+    (void)resolve_via(cache, make_phase("p"), lanes, cpu, nullptr, 0.0);
   }
   const auto s = cache.stats();
   EXPECT_EQ(s.misses, 16u);
@@ -199,8 +212,8 @@ TEST(ResolveCache, PublishExportsGauges) {
   const auto lanes = make_lanes(dram, nvm);
   CpuParams cpu;
   ResolveCache cache(1);
-  (void)cache.resolve(make_phase("p"), lanes, cpu, 0.0, 0.0, nullptr, 0.0);
-  (void)cache.resolve(make_phase("q"), lanes, cpu, 0.0, 0.0, nullptr, 0.0);
+  (void)resolve_via(cache, make_phase("p"), lanes, cpu, nullptr, 0.0);
+  (void)resolve_via(cache, make_phase("q"), lanes, cpu, nullptr, 0.0);
 
   MetricsRegistry m;
   cache.publish(m);
@@ -276,7 +289,7 @@ TEST(ResolveCache, ThreadClampBoundaryIsConsistent) {
 TEST(ResolveCache, SweepExportsAreByteIdenticalAcrossModesAndJobs) {
   // End-to-end determinism: the reference sweep (cache off, serial) must
   // produce byte-identical CSV, Chrome-trace and metrics exports to a
-  // shared-cache parallel sweep and a per-run-cache sweep.
+  // shared-cache parallel sweep.
   SweepSpec ref;
   ref.app = "stream";
   ref.modes = {Mode::kDramOnly, Mode::kCachedNvm, Mode::kUncachedNvm};
@@ -291,21 +304,44 @@ TEST(ResolveCache, SweepExportsAreByteIdenticalAcrossModesAndJobs) {
   shared_spec.resolve_cache = ResolveCacheMode::kShared;
   const auto shared_res = run_sweep(shared_spec);
 
-  SweepSpec perrun_spec = ref;
-  perrun_spec.resolve_cache = ResolveCacheMode::kPerRun;
-  const auto perrun_res = run_sweep(perrun_spec);
-
-  for (const SweepResult* r : {&shared_res, &perrun_res}) {
-    EXPECT_EQ(sweep_csv(*r), sweep_csv(base));
-    EXPECT_EQ(sweep_chrome_trace(*r), sweep_chrome_trace(base));
-    EXPECT_EQ(sweep_metrics_csv(*r), sweep_metrics_csv(base));
-    EXPECT_GT(r->cache_stats.hits, 0u);
-  }
+  EXPECT_EQ(sweep_csv(shared_res), sweep_csv(base));
+  EXPECT_EQ(sweep_chrome_trace(shared_res), sweep_chrome_trace(base));
+  EXPECT_EQ(sweep_metrics_csv(shared_res), sweep_metrics_csv(base));
+  EXPECT_GT(shared_res.cache_stats.hits, 0u);
   // The Memory-mode cells of the shared sweep repeat one sampler
   // trajectory across the thread dimension: the stream memo must see it.
   EXPECT_GT(shared_res.stream_stats.hits, 0u);
   EXPECT_EQ(base.cache_stats.hits + base.cache_stats.misses, 0u);
   EXPECT_EQ(base.stream_stats.hits + base.stream_stats.misses, 0u);
+}
+
+TEST(ResolveCache, LoneCellGridConsultsOnlyACallerCache) {
+  // A 1-cell grid has nothing to share a grid-local cache with, so kShared
+  // runs it uncached; a caller-owned cache (nvmsimd's) is still consulted.
+  // Rows and exports stay byte-identical either way.
+  SweepSpec spec;
+  spec.app = "stream";
+  spec.modes = {Mode::kCachedNvm};
+  spec.threads = {12};
+  spec.telemetry = true;
+  const auto off = run_sweep(spec);
+
+  spec.resolve_cache = ResolveCacheMode::kShared;
+  const auto lone = run_sweep(spec);
+  EXPECT_EQ(lone.cache_stats.hits + lone.cache_stats.misses, 0u);
+  EXPECT_EQ(lone.stream_stats.hits + lone.stream_stats.misses, 0u);
+
+  ResolveCache external;
+  spec.external_cache = &external;
+  const auto borrowed = run_sweep(spec);
+  EXPECT_GT(borrowed.cache_stats.misses, 0u);
+  EXPECT_GT(borrowed.stream_stats.misses, 0u);
+
+  for (const SweepResult* r : {&lone, &borrowed}) {
+    EXPECT_EQ(sweep_csv(*r), sweep_csv(off));
+    EXPECT_EQ(sweep_chrome_trace(*r), sweep_chrome_trace(off));
+    EXPECT_EQ(sweep_metrics_csv(*r), sweep_metrics_csv(off));
+  }
 }
 
 /// Submit the same Memory-mode phase program (sequential, strided and

@@ -298,8 +298,7 @@ TEST(ReplayFoldParity, AllResolveCacheModes) {
   // anchors BENCH_epoch.json's speedup claim to identical work).
   const auto corpora = fig2_corpora(/*quick=*/true);
   for (const ResolveCacheMode mode :
-       {ResolveCacheMode::kOff, ResolveCacheMode::kPerRun,
-        ResolveCacheMode::kShared}) {
+       {ResolveCacheMode::kOff, ResolveCacheMode::kShared}) {
     ReplayResult ref;
     {
       ReferenceKernelsGuard guard;

@@ -204,14 +204,10 @@ int cmd_record(bool quick, int repeat, int attempts,
   const ReplayResult off = best_of(attempts, [&] {
     return replay_corpora(corpora, repeat, ResolveCacheMode::kOff);
   });
-  const ReplayResult run = best_of(attempts, [&] {
-    return replay_corpora(corpora, repeat, ResolveCacheMode::kPerRun);
-  });
   const ReplayResult shared = best_of(attempts, [&] {
     return replay_corpora(corpora, repeat, ResolveCacheMode::kShared);
   });
-  const bool sweep_parity =
-      off.time_fold == run.time_fold && off.time_fold == shared.time_fold;
+  const bool sweep_parity = off.time_fold == shared.time_fold;
 
   Json sweep;
   sweep.set("schema_version", kSchemaVersion);
@@ -221,12 +217,10 @@ int cmd_record(bool quick, int repeat, int attempts,
   sweep.set("attempts", attempts);
   sweep.set("baseline_unit_s", unit_s);
   sweep.set("off", result_json(off));
-  sweep.set("run", result_json(run));
   sweep.set("shared", result_json(shared));
   {
     Json gate;
     gate.set("epochs_per_unit_off", off.epochs_per_s() * unit_s);
-    gate.set("epochs_per_unit_run", run.epochs_per_s() * unit_s);
     gate.set("epochs_per_unit_shared", shared.epochs_per_s() * unit_s);
     sweep.set("gate", gate);
   }
@@ -244,12 +238,12 @@ int cmd_record(bool quick, int repeat, int attempts,
   std::printf(
       "recorded %s: speedup %.2fx, soa %.1f epochs/unit, parity %s; "
       "intra w8 %.2fx, parity %s; "
-      "sweep off/run/shared %.1f/%.1f/%.1f epochs/unit, parity %s\n",
+      "sweep off/shared %.1f/%.1f epochs/unit, parity %s\n",
       corpus_name.c_str(), ref.seconds / soa.seconds,
       soa.epochs_per_s() * unit_s, epoch_parity ? "ok" : "DIVERGED",
       intra_w8_s > 0.0 ? intra_w1_s / intra_w8_s : 0.0,
       intra_parity ? "ok" : "DIVERGED", off.epochs_per_s() * unit_s,
-      run.epochs_per_s() * unit_s, shared.epochs_per_s() * unit_s,
+      shared.epochs_per_s() * unit_s,
       sweep_parity ? "ok" : "DIVERGED");
   return (epoch_parity && intra_parity && sweep_parity) ? 0 : 1;
 }
